@@ -142,7 +142,6 @@ class RunConfig:
                 T=self.get_float("sim.T"), dt=self.get_float("sim.dt"),
                 N=self.get_int("sim.N"), seed=self.get_int("seed"),
                 r=self.get_float("sim.r"),
-                moment_order=self.get_float("model.p"),
                 workers=self.get_int("sim.workers"),
             )
         except ValueError as e:
@@ -162,7 +161,6 @@ class RunConfig:
             if not key.startswith("model.") or key == "model.name":
                 continue
             pname = key.split(".", 1)[1]
-            pname = {"p": "p"}.get(pname, pname)
             if pname not in accepted:
                 if key in _OPTIONAL and key in self.values and key not in _DEFAULTS:
                     raise ConfigError(f"key {key!r}: model {name!r} does not take "

@@ -49,7 +49,6 @@ class SimConfig:
     N: int
     seed: int
     r: float = 0.0
-    moment_order: float = 4.0
     workers: int = 1
 
     def __post_init__(self):

@@ -12,6 +12,8 @@ with platform-dependent rounding.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.special import ndtri
 
@@ -29,10 +31,17 @@ def derive_seed(*ids: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+@functools.lru_cache(maxsize=1024)
+def _philox_key(seed: int, stream: int) -> np.ndarray:
+    """The Philox key of (seed, stream), derived once; read-only, since it is shared."""
+    key = np.random.SeedSequence(entropy=(seed, stream)).generate_state(2, np.uint64)
+    key.flags.writeable = False
+    return key
+
+
 def _philox(seed: int, stream: int, step: int) -> np.random.Generator:
-    key = np.random.SeedSequence(entropy=(int(seed), int(stream))).generate_state(2, np.uint64)
     # Each step owns a disjoint 2^64-block slice of the counter space.
-    bg = np.random.Philox(key=key, counter=int(step) << 64)
+    bg = np.random.Philox(key=_philox_key(int(seed), int(stream)), counter=int(step) << 64)
     return np.random.Generator(bg)
 
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import rng
 from .engine import SimConfig, make_initial_law, simulate_frozen
-from .measures import EmpiricalMeasure, w1_sorted, w1_sorted_rows
+from .measures import EmpiricalMeasure, w1_sorted_rows
+from .measures import w1_sorted  # noqa: F401  (perfbench/tracer.py wraps it by this name)
 from .model import ModelSpec
 
 # stream labels for iteration sub-seeds, distinct from the engine streams
@@ -44,6 +45,7 @@ class MeasureFlow:
         self.values = values if presorted else np.sort(values, axis=1)
         self.tag = tag
         self.initial_law = initial_law
+        self._measures: list[EmpiricalMeasure | None] = [None] * len(times)
 
     @property
     def steps(self) -> int:
@@ -58,7 +60,12 @@ class MeasureFlow:
         return self.values.mean(axis=1)
 
     def measure_at(self, k: int) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.values[k], presorted=True)
+        """The measure at grid time k, built on first use and then shared."""
+        # sweep threads may race to build the same entry; both builds are equal
+        mu = self._measures[k]
+        if mu is None:
+            mu = self._measures[k] = EmpiricalMeasure(self.values[k], presorted=True)
+        return mu
 
     @classmethod
     def from_record(cls, record, tag: str = "", initial_law=None) -> "MeasureFlow":
@@ -82,11 +89,7 @@ class MeasureFlow:
     def w1_curve(self, other: "MeasureFlow") -> np.ndarray:
         if self.steps != other.steps or abs(self.times[-1] - other.times[-1]) > 1e-12:
             raise ValueError("flows live on different grids")
-        a, b = self.values, other.values
-        big, small = (a, b) if a.shape[1] >= b.shape[1] else (b, a)
-        if big.shape[1] % small.shape[1] == 0:
-            return w1_sorted_rows(small, big)
-        return np.array([w1_sorted(a[k], b[k]) for k in range(len(self.times))])
+        return w1_sorted_rows(self.values, other.values)
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:

@@ -1,9 +1,15 @@
 import itertools
+import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
+from mfchaos import measures
 from mfchaos.measures import (EmpiricalMeasure, PiecewiseLinearLipschitz,
                               empirical_coupling_bound, pinsker_check,
                               tv_estimate, w1, w1_dual_lower_bound, w1_sorted,
@@ -80,6 +86,92 @@ class TestW1:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             EmpiricalMeasure([])
+
+
+def w1_rows_repeat(xs, ys):
+    """The expanded nested-count formula the blocked kernel must reproduce bit for bit."""
+    n, m = xs.shape[1], ys.shape[1]
+    if m % n == 0:
+        return np.abs(np.repeat(xs, m // n, axis=1) - ys).mean(axis=1)
+    return np.abs(np.repeat(ys, n // m, axis=1) - xs).mean(axis=1)
+
+
+def w1_quantile_oracle(x, y):
+    """Integral of |F_x^-1 - F_y^-1| on the lcm refinement, summed exactly."""
+    common = math.lcm(len(x), len(y))
+    qx = np.repeat(x, common // len(x))
+    qy = np.repeat(y, common // len(y))
+    return math.fsum(np.abs(qx - qy)) / common
+
+
+@st.composite
+def sorted_rows(draw, rows, n):
+    """A (rows, n) stack of sorted samples: continuous values, or ties from {-2, ..., 2}."""
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        vals = gen.uniform(-10.0, 10.0, size=(rows, n))
+    else:
+        vals = gen.integers(-2, 3, size=(rows, n)).astype(float)
+    return np.sort(vals, axis=1)
+
+
+class TestW1Kernel:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 6), n=st.integers(1, 24),
+           r=st.integers(1, 24), block_bytes=st.sampled_from([8, 200, 1 << 20]))
+    def test_nested_matches_expanded_formula_bitwise(self, data, rows, n, r, block_bytes):
+        xs = data.draw(sorted_rows(rows, n))
+        ys = data.draw(sorted_rows(rows, n * r))
+        want = w1_rows_repeat(xs, ys).tobytes()
+        with mock.patch.object(measures, "_W1_BLOCK_BYTES", block_bytes):
+            assert w1_sorted_rows(xs, ys).tobytes() == want
+            assert w1_sorted_rows(ys, xs).tobytes() == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 4), n=st.integers(1, 30), m=st.integers(1, 30))
+    def test_rows_match_scalar_bitwise(self, data, rows, n, m):
+        xs = data.draw(sorted_rows(rows, n))
+        ys = data.draw(sorted_rows(rows, m))
+        per_row = np.array([w1_sorted(xs[k], ys[k]) for k in range(rows)])
+        assert w1_sorted_rows(xs, ys).tobytes() == per_row.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), m=st.integers(1, 40))
+    def test_any_counts_match_quantile_oracle(self, data, n, m):
+        x = data.draw(sorted_rows(1, n))[0]
+        y = data.draw(sorted_rows(1, m))[0]
+        assert abs(w1_sorted(x, y) - w1_quantile_oracle(x, y)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40), m=st.integers(1, 40))
+    def test_symmetric_and_zero_on_self(self, data, n, m):
+        a = EmpiricalMeasure(data.draw(sorted_rows(1, n))[0])
+        b = EmpiricalMeasure(data.draw(sorted_rows(1, m))[0])
+        assert w1(a, b) == w1(b, a)
+        assert w1(a, a) == 0.0
+
+    def test_reference_sized_rows_stay_small_and_exact(self):
+        # the chaos-rate sweep's shape: 101 grid times, N=64 against M=32768;
+        # the expanded formula needs over 50 MiB of temporaries here
+        rng = np.random.default_rng(41)
+        xs = np.sort(rng.normal(size=(101, 64)), axis=1)
+        ys = np.sort(rng.normal(size=(101, 32768)), axis=1)
+        tracemalloc.start()
+        try:
+            got = w1_sorted_rows(xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert got.tobytes() == w1_rows_repeat(xs, ys).tobytes()
+
+    def test_shape_errors(self):
+        with pytest.raises(ValueError):
+            w1_sorted_rows(np.zeros((2, 3)), np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            w1_sorted_rows(np.zeros(3), np.zeros((1, 3)))
+        with pytest.raises(ValueError):
+            w1_sorted_rows(np.zeros((1, 0)), np.zeros((1, 3)))
 
 
 class TestDualLowerBound:

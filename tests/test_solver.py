@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -177,6 +180,40 @@ class TestSolveFixedPoint:
         gap = float(np.max(res.flow.w1_curve(flow_n)))
         # pinned from pilot: both sides carry O(M^-1/2) ~ 0.016 of W1 noise
         assert gap < 0.08
+
+
+class TestMeasureAt:
+    def test_built_once_and_shared(self):
+        f = random_flow(np.random.default_rng(2), np.linspace(0, 1, 6), 16)
+        mu = f.measure_at(3)
+        assert f.measure_at(3) is mu
+        assert np.array_equal(mu.samples, f.values[3])
+        assert mu.mean == float(f.values[3].mean())
+
+    def test_concurrent_first_use(self):
+        # sweep threads share one reference flow; whichever thread builds a
+        # measure first, every caller must see the same samples and mean
+        f = random_flow(np.random.default_rng(4), np.linspace(0, 1, 51), 64)
+        seen = [[] for _ in range(8)]
+
+        def work(slot):
+            for k in range(len(f.times)):
+                mu = f.measure_at(k)
+                seen[slot].append((k, mu.mean, mu.samples[0], mu.samples[-1]))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        want = [(k, float(row.mean()), row[0], row[-1]) for k, row in enumerate(f.values)]
+        assert all(s == want for s in seen)
 
 
 class TestFlowSerialization:
