@@ -17,8 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .engine import (ConstantLaw, SimConfig, make_initial_law,
-                     simulate_coupled, simulate_frozen, simulate_interacting)
+from .engine import (ConstantLaw, SimConfig, coupled_stack, make_initial_law,
+                     simulate_frozen, simulate_interacting)
+from .engine import simulate_coupled  # noqa: F401  (perfbench/tracer.py wraps it by this name)
 from .model import ModelSpec
 from .solver import MeasureFlow
 from .measures import EmpiricalMeasure, tv_estimate
@@ -139,29 +140,45 @@ class RateReport:
 
 
 def _one_coupled_run(config: SimConfig, model: ModelSpec, reference: MeasureFlow,
-                     N: int, replica: int, master_seed: int) -> RunDiagnostics:
-    seed = rng.derive_seed(master_seed, N, replica)
-    cfg = replace(config, N=N, seed=seed)
-    rec = simulate_coupled(cfg, model, reference)
-    hat = MeasureFlow.from_record(rec.interacting)
-    tld = MeasureFlow.from_record(rec.limit)
-    w1_sup = float(np.max(reference.w1_curve(hat)))
-    limit_sup = float(np.max(reference.w1_curve(tld)))
-    pairing_sup = float(np.max(rec.error_curve))
-    return RunDiagnostics(N=N, replica=replica, seed=seed, w1_sup=w1_sup,
-                          pairing_sup=pairing_sup, limit_w1_sup=limit_sup,
-                          triangle_ok=w1_sup <= pairing_sup + limit_sup + 1e-12)
+                     N: int, replicas: int, master_seed: int) -> list[RunDiagnostics]:
+    """Every replica at one N, as one coupled stack scored while it steps.
+
+    Replica r runs with seed derive_seed(master_seed, N, r). At each grid
+    time the sorted stack the step builds is scored against the reference,
+    and the pairing gap is taken from the unsorted state, so no trajectory
+    is kept.
+    """
+    seeds = [rng.derive_seed(master_seed, N, r) for r in range(replicas)]
+    w1_sup = np.zeros(2 * replicas)    # interacting rows, then their twins
+    pairing_sup = np.zeros(replicas)
+
+    def score(k, x, xs):
+        np.maximum(w1_sup, reference.w1_at(k, xs), out=w1_sup)
+        gap = np.abs(x[:replicas] - x[replicas:]).mean(axis=1)
+        np.maximum(pairing_sup, gap, out=pairing_sup)
+
+    coupled_stack(replace(config, N=N), model, reference, seeds, observe=score, record=False)
+    runs = []
+    for r, seed in enumerate(seeds):
+        hat, tld, pair = float(w1_sup[r]), float(w1_sup[replicas + r]), float(pairing_sup[r])
+        runs.append(RunDiagnostics(N=N, replica=r, seed=seed, w1_sup=hat,
+                                   pairing_sup=pair, limit_w1_sup=tld,
+                                   triangle_ok=hat <= pair + tld + 1e-12))
+    return runs
 
 
 def _coupled_sweep(config: SimConfig, model: ModelSpec, reference: MeasureFlow,
                    N_list, replicas: int, workers: int = 1) -> list[RunDiagnostics]:
-    tasks = [(int(N), r) for N in N_list for r in range(replicas)]
+    sizes = [int(N) for N in N_list]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_one_coupled_run, config, model, reference, N, r, config.seed)
-                    for N, r in tasks]
-            return [f.result() for f in futs]   # task order, not completion order
-    return [_one_coupled_run(config, model, reference, N, r, config.seed) for N, r in tasks]
+            futs = [pool.submit(_one_coupled_run, config, model, reference, N, replicas,
+                                config.seed) for N in sizes]
+            per_n = [f.result() for f in futs]   # task order, not completion order
+    else:
+        per_n = [_one_coupled_run(config, model, reference, N, replicas, config.seed)
+                 for N in sizes]
+    return [d for runs in per_n for d in runs]
 
 
 def estimate_chaos_rate(config_base: SimConfig, model: ModelSpec, N_list, replicas: int,

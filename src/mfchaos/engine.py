@@ -11,6 +11,14 @@ with their stream ids permutes trajectories exactly.
 The empirical measure a step sees is built once from the full state
 before any particle moves, so no particle ever observes a partially
 updated ensemble.
+
+One loop, `_run`, does every step. It advances one system of N particles
+or a (K, N) stack of K such systems at once: row i is driven by its own
+seed, rows with equal seeds share their increments, and each group of
+rows sees either its rows' own empirical laws or a shared measure flow.
+Every row goes through the same per-row operations as a system stepped
+alone (sorted-row mean, `x + drift*dt + sig*sqdt*z`), so stacking never
+changes a bit.
 """
 
 from __future__ import annotations
@@ -162,7 +170,10 @@ def sample_initial(ensemble_size: int, initial_law, seed: int,
 
 
 class SegmentBatch:
-    """Read-only view of every particle's segment, vectorized over particles."""
+    """Read-only view of every particle's segment, vectorized over particles.
+
+    The buffer is (N, width) for one system or (K, N, width) for a stack.
+    """
 
     __slots__ = ("_buf", "_head", "r", "h")
 
@@ -173,14 +184,14 @@ class SegmentBatch:
         self.h = h
 
     def __len__(self) -> int:
-        return self._buf.shape[0]
+        return self._buf[..., 0].size   # particles, over every row of a stack
 
     @property
     def width(self) -> int:
-        return self._buf.shape[1]
+        return self._buf.shape[-1]
 
     def _col(self, j: int) -> np.ndarray:
-        return self._buf[:, (self._head + j) % self.width]
+        return self._buf[..., (self._head + j) % self.width]
 
     @property
     def current(self) -> np.ndarray:
@@ -197,13 +208,14 @@ class SegmentBatch:
         return (1.0 - frac) * self._col(j) + frac * self._col(j + 1)
 
     def integral_against(self, m: DelayMeasure) -> np.ndarray:
-        out = np.zeros(len(self))
+        out = np.zeros(self._buf.shape[:-1])
         for s, w in zip(m.locations, m.weights):
             out += w * self.value_at(float(s))
         return out
 
-    def rows(self, sl: slice) -> "SegmentBatch":
-        return SegmentBatch(self._buf[sl], self._head, self.r, self.h)
+    def particles(self, sl: slice) -> "SegmentBatch":
+        """Particles sl of every system."""
+        return SegmentBatch(self._buf[..., sl, :], self._head, self.r, self.h)
 
     def segment(self, i: int) -> Segment:
         if self._head == 0:
@@ -214,13 +226,22 @@ class SegmentBatch:
 
 
 class ParticleEnsemble:
-    """Per-particle ring buffers over the delay window plus stream identities."""
+    """Per-particle ring buffers over the delay window plus stream identities.
 
-    def __init__(self, r: float, dt: float, init_values: np.ndarray, stream_ids=None):
+    init_values holds one system's current values (n,) or full windows
+    (n, width). With stacked=True it holds a stack of K systems, (K, N) or
+    (K, N, width); the rows share the stream ids of their N particles.
+    """
+
+    def __init__(self, r: float, dt: float, init_values: np.ndarray, stream_ids=None,
+                 stacked: bool = False):
         init_values = np.asarray(init_values, dtype=float)
-        if init_values.ndim == 1:
+        lead = 2 if stacked else 1
+        if init_values.ndim == lead:
             width = (_ratio_as_int(r, dt, "delay") if r > 0 else 0) + 1
-            init_values = np.tile(init_values[:, None], (1, width))
+            init_values = np.repeat(init_values[..., None], width, axis=-1)
+        if init_values.ndim != lead + 1:
+            raise ValueError(f"initial values must have {lead} or {lead + 1} dimensions")
         if not np.isfinite(init_values).all():
             raise ValueError("initial ensemble values must be finite")
         self.r = float(r)
@@ -228,36 +249,43 @@ class ParticleEnsemble:
         self.buf = init_values.copy()
         self.head = 0
         self.step_index = 0
-        n = init_values.shape[0]
+        n = init_values.shape[-2]
         self.stream_ids = np.arange(n) if stream_ids is None else np.asarray(stream_ids, int)
         if len(self.stream_ids) != n or len(np.unique(self.stream_ids)) != n:
             raise ValueError("stream ids must be a permutation-compatible unique labelling")
 
     @property
     def n(self) -> int:
-        return self.buf.shape[0]
+        """Particles over all systems: N, or K*N for a stack."""
+        return self.buf[..., 0].size
 
     @property
     def current(self) -> np.ndarray:
-        return self.buf[:, (self.head + self.buf.shape[1] - 1) % self.buf.shape[1]]
+        width = self.buf.shape[-1]
+        return self.buf[..., (self.head + width - 1) % width]
 
-    def batch(self) -> SegmentBatch:
-        return SegmentBatch(self.buf, self.head, self.r, self.dt)
+    def batch(self, rows=Ellipsis) -> SegmentBatch:
+        return SegmentBatch(self.buf[rows], self.head, self.r, self.dt)
 
     def advance(self, new_values: np.ndarray) -> None:
-        self.buf[:, self.head] = new_values   # oldest slot becomes newest
-        self.head = (self.head + 1) % self.buf.shape[1]
+        self.buf[..., self.head] = new_values   # oldest slot becomes newest
+        self.head = (self.head + 1) % self.buf.shape[-1]
         self.step_index += 1
 
     @classmethod
     def from_law(cls, config: SimConfig, initial_law, n: int | None = None,
-                 seed: int | None = None, stream_ids=None) -> "ParticleEnsemble":
+                 seed=None, stream_ids=None) -> "ParticleEnsemble":
+        """Initial values drawn from the law with `seed`; a list of seeds
+        gives a stack with one row per seed, each row drawn on its own."""
         n = config.N if n is None else n
         seed = config.seed if seed is None else seed
         law = make_initial_law(initial_law) if isinstance(initial_law, str) else initial_law
         ids = np.arange(n) if stream_ids is None else np.asarray(stream_ids, int)
-        pool = law.sample(seed, int(ids.max()) + 1)
-        return cls(config.r, config.dt, pool[ids], stream_ids=ids)
+        size = int(ids.max()) + 1
+        if np.ndim(seed) == 0:
+            return cls(config.r, config.dt, law.sample(seed, size)[ids], stream_ids=ids)
+        rows = np.array([law.sample(s, size)[ids] for s in seed])
+        return cls(config.r, config.dt, rows, stream_ids=ids, stacked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +376,18 @@ def _chunked(n: int, workers: int):
 def _eval_coeffs(model: ModelSpec, t: float, x: np.ndarray, batch: SegmentBatch,
                  mu: EmpiricalMeasure, workers: int, pool) -> tuple[np.ndarray, np.ndarray]:
     def one(sl: slice):
-        xs = x[sl]
-        b = np.broadcast_to(np.asarray(model.drift(t, xs, mu), dtype=float), xs.shape)
-        bb = np.broadcast_to(np.asarray(model.path_drift(t, batch.rows(sl), mu), dtype=float), xs.shape)
-        sg = np.broadcast_to(np.asarray(model.sigma(t, xs), dtype=float), xs.shape)
-        return b + bb, sg
+        xs = x[..., sl]
+        drift = (np.asarray(model.drift(t, xs, mu), dtype=float)
+                 + np.asarray(model.path_drift(t, batch.particles(sl), mu), dtype=float))
+        sig = np.asarray(model.sigma(t, xs), dtype=float)
+        return np.broadcast_to(drift, xs.shape), np.broadcast_to(sig, xs.shape)
 
-    slices = _chunked(len(x), workers)
+    slices = _chunked(x.shape[-1], workers)
     if len(slices) == 1:
-        parts = [one(slices[0])]
-    else:
-        parts = list(pool.map(one, slices))
-    drift = np.concatenate([p[0] for p in parts])
-    sig = np.concatenate([p[1] for p in parts])
-    return drift, sig
+        return one(slices[0])
+    parts = list(pool.map(one, slices))
+    return (np.concatenate([p[0] for p in parts], axis=-1),
+            np.concatenate([p[1] for p in parts], axis=-1))
 
 
 # states beyond this are treated as having already blown up, even if the
@@ -372,45 +398,88 @@ _BLOWUP_SCALE = 1e100
 def _check_advanced(x, drift, sig, new, k: int, t: float) -> None:
     if np.isfinite(new).all():
         return
-    bad = int(np.argwhere(~np.isfinite(new))[0, 0])
-    coeff_bad = not (np.isfinite(drift[bad]) and np.isfinite(sig[bad]))
-    if coeff_bad and abs(x[bad]) < _BLOWUP_SCALE:
+    at = tuple(np.argwhere(~np.isfinite(new))[0])   # (particle,) or (row, particle)
+    bad = int(at[-1])
+    coeff_bad = not (np.isfinite(drift[at]) and np.isfinite(sig[at]))
+    if coeff_bad and abs(x[at]) < _BLOWUP_SCALE:
         raise ModelError(
             f"coefficient returned a non-finite value for particle {bad} "
-            f"at t={t:g} (state {x[bad]!r})")
+            f"at t={t:g} (state {x[at]!r})")
     raise BlowUpError(bad, k, t)
 
 
-def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble,
-         seed: int, measure_at=None) -> PathRecord:
-    """Core Euler-Maruyama loop.
+def _increments(seeds, k: int, ids, n_streams: int) -> np.ndarray:
+    """Brownian increments of step k: one row per seed, or one system for a
+    single seed. Rows with equal seeds share one draw."""
+    def draw(seed):
+        z = rng.normals(seed, rng.STREAM_DRIVE, k, n_streams)
+        return z if ids is None else z[ids]
 
-    measure_at(k, ensemble) supplies the measure each step sees; the default
-    is the ensemble's own empirical law (the interacting system).
+    if np.ndim(seeds) == 0:
+        return draw(seeds)
+    shared = {s: draw(s) for s in dict.fromkeys(seeds)}
+    return np.array([shared[s] for s in seeds])
+
+
+_OWN_LAW = ((Ellipsis, None),)   # every row sees its own empirical law
+
+
+def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
+         groups=_OWN_LAW, observe=None, record: bool = True) -> np.ndarray | None:
+    """The Euler-Maruyama loop: config.steps steps from the ensemble's step counter.
+
+    The ensemble is one system (seeds is then one seed) or a (K, N) stack
+    whose row i is driven by seeds[i]. Each group (rows, flow) names the
+    measure its rows see: flow.measure_at(k), or with flow None each row's
+    own empirical law. observe(k, x, xs), if given, sees the state x at
+    every grid time k, the last one included, with xs sorted row by row.
+    Returns the record, shaped (steps + 1,) + the ensemble's shape, unless
+    record is False.
     """
     model = _snap_measure(model, config)
-    steps = config.steps
-    n = ensemble.n
-    out = np.empty((steps + 1, n))
-    out[0] = ensemble.current
-    sqdt = np.sqrt(config.dt)
-    n_streams = int(ensemble.stream_ids.max()) + 1
+    dt = config.dt
+    sqdt = np.sqrt(dt)
+    ids = ensemble.stream_ids
+    n_streams = int(ids.max()) + 1
+    if n_streams == len(ids) and np.array_equal(ids, np.arange(n_streams)):
+        ids = None
+    stacked = ensemble.current.ndim == 2
+    k0 = ensemble.step_index
+    out = None
+    if record:
+        out = np.empty((config.steps + 1,) + ensemble.current.shape)
+        out[0] = ensemble.current
     pool = ThreadPoolExecutor(config.workers) if config.workers > 1 else None
     try:
-        for k in range(steps):
-            t = k * config.dt
+        for k in range(k0, k0 + config.steps):
+            t = k * dt
             x = ensemble.current
-            mu = EmpiricalMeasure(x) if measure_at is None else measure_at(k, ensemble)
-            drift, sig = _eval_coeffs(model, t, x, ensemble.batch(), mu, config.workers, pool)
-            z = rng.normals(seed, rng.STREAM_DRIVE, k, n_streams)[ensemble.stream_ids]
-            new = x + drift * config.dt + sig * sqdt * z
-            _check_advanced(x, drift, sig, new, k, t)
+            xs = None
+            if observe is not None:
+                xs = np.sort(x, axis=-1)
+                observe(k, x, xs)
+            z = _increments(seeds, k, ids, n_streams)
+            new = np.empty_like(x)
+            for rows, flow in groups:
+                if flow is not None:
+                    mu = flow.measure_at(k)
+                else:
+                    own = xs[rows] if xs is not None else np.sort(x[rows], axis=-1)
+                    mu = EmpiricalMeasure(own, presorted=True, stacked=stacked)
+                drift, sig = _eval_coeffs(model, t, x[rows], ensemble.batch(rows), mu,
+                                          config.workers, pool)
+                new[rows] = x[rows] + drift * dt + sig * sqdt * z[rows]
+                _check_advanced(x[rows], drift, sig, new[rows], k, t)
             ensemble.advance(new)
-            out[k + 1] = new
+            if record:
+                out[k - k0 + 1] = new
     finally:
         if pool is not None:
             pool.shutdown(wait=False)
-    return PathRecord(times=config.times, values=out)
+    if observe is not None:
+        x = ensemble.current
+        observe(k0 + config.steps, x, np.sort(x, axis=-1))
+    return out
 
 
 def step_interacting(ensemble: ParticleEnsemble, model: ModelSpec, t: float,
@@ -426,19 +495,8 @@ def step_interacting(ensemble: ParticleEnsemble, model: ModelSpec, t: float,
         raise EngineError(
             f"time {t!r} does not match the ensemble's step counter "
             f"({ensemble.step_index} steps of dt={dt})")
-    x = ensemble.current
-    mu = EmpiricalMeasure(x)
-    pool = ThreadPoolExecutor(workers) if workers > 1 else None
-    try:
-        drift, sig = _eval_coeffs(model, t, x, ensemble.batch(), mu, workers, pool)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
-    n_streams = int(ensemble.stream_ids.max()) + 1
-    z = rng.normals(seed, rng.STREAM_DRIVE, ensemble.step_index, n_streams)[ensemble.stream_ids]
-    new = x + drift * dt + sig * np.sqrt(dt) * z
-    _check_advanced(x, drift, sig, new, ensemble.step_index, t)
-    ensemble.advance(new)
+    cfg = SimConfig(T=dt, dt=dt, N=ensemble.n, seed=seed, r=ensemble.r, workers=workers)
+    _run(cfg, model, ensemble, seed, record=False)
     return ensemble
 
 
@@ -447,7 +505,7 @@ def simulate_interacting(config: SimConfig, model: ModelSpec, initial_law,
     """The N-interacting system: each particle sees the ensemble's own
     empirical law, rebuilt once per step from the full state."""
     ens = ParticleEnsemble.from_law(config, initial_law, stream_ids=stream_ids)
-    return _run(config, model, ens, config.seed)
+    return PathRecord(times=config.times, values=_run(config, model, ens, config.seed))
 
 
 def simulate_frozen(config: SimConfig, model: ModelSpec, flow, n_paths: int,
@@ -460,7 +518,30 @@ def simulate_frozen(config: SimConfig, model: ModelSpec, flow, n_paths: int,
         raise EngineError("flow carries no initial law; attach one before freezing")
     cfg = replace(config, N=n_paths, seed=seed)
     ens = ParticleEnsemble.from_law(cfg, flow.initial_law, seed=seed)
-    return _run(cfg, model, ens, seed, measure_at=lambda k, _e: flow.measure_at(k))
+    return PathRecord(times=cfg.times,
+                      values=_run(cfg, model, ens, seed, groups=((Ellipsis, flow),)))
+
+
+def coupled_stack(config: SimConfig, model: ModelSpec, reference_flow, seeds,
+                  initial_law=None, observe=None, record: bool = True) -> np.ndarray | None:
+    """Interacting systems and their reference-driven twins, one pair per
+    seed, stepped as one (2K, N) stack.
+
+    Rows 0..K-1 are the interacting systems, rows K..2K-1 their twins. Each
+    twin draws its own initial values with its system's seed and shares its
+    increments; only the measure they see differs. observe and record are
+    those of `_run`.
+    """
+    if reference_flow.steps != config.steps:
+        raise EngineError("reference flow grid does not match the simulation grid")
+    law = initial_law if initial_law is not None else reference_flow.initial_law
+    if law is None:
+        raise EngineError("no initial law: pass one or use a flow that carries it")
+    K = len(seeds)
+    rows = list(seeds) * 2
+    ens = ParticleEnsemble.from_law(config, law, seed=rows)
+    groups = ((slice(0, K), None), (slice(K, 2 * K), reference_flow))
+    return _run(config, model, ens, rows, groups, observe=observe, record=record)
 
 
 def simulate_coupled(config: SimConfig, model: ModelSpec, reference_flow,
@@ -470,47 +551,11 @@ def simulate_coupled(config: SimConfig, model: ModelSpec, reference_flow,
     Both systems start from the same initial draws and consume the same
     increment per (particle, step); only the measure they see differs.
     """
-    if reference_flow.steps != config.steps:
-        raise EngineError("reference flow grid does not match the simulation grid")
-    law = initial_law if initial_law is not None else reference_flow.initial_law
-    if law is None:
-        raise EngineError("no initial law: pass one or use a flow that carries it")
-    model = _snap_measure(model, config)
-    ens_i = ParticleEnsemble.from_law(config, law)
-    ens_l = ParticleEnsemble.from_law(config, law)
-    steps = config.steps
-    n = config.N
-    out_i = np.empty((steps + 1, n))
-    out_l = np.empty((steps + 1, n))
-    out_i[0] = ens_i.current
-    out_l[0] = ens_l.current
-    sqdt = np.sqrt(config.dt)
-    pool = ThreadPoolExecutor(config.workers) if config.workers > 1 else None
-    try:
-        for k in range(steps):
-            t = k * config.dt
-            z = rng.normals(config.seed, rng.STREAM_DRIVE, k, n)
-            xi = ens_i.current
-            mu_hat = EmpiricalMeasure(xi)
-            d_i, s_i = _eval_coeffs(model, t, xi, ens_i.batch(), mu_hat, config.workers, pool)
-            xl = ens_l.current
-            mu_ref = reference_flow.measure_at(k)
-            d_l, s_l = _eval_coeffs(model, t, xl, ens_l.batch(), mu_ref, config.workers, pool)
-            new_i = xi + d_i * config.dt + s_i * sqdt * z
-            new_l = xl + d_l * config.dt + s_l * sqdt * z
-            _check_advanced(xi, d_i, s_i, new_i, k, t)
-            _check_advanced(xl, d_l, s_l, new_l, k, t)
-            ens_i.advance(new_i)
-            ens_l.advance(new_l)
-            out_i[k + 1] = new_i
-            out_l[k + 1] = new_l
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    values = coupled_stack(config, model, reference_flow, [config.seed], initial_law)
     times = config.times
     return CoupledRecord(times=times,
-                         interacting=PathRecord(times=times, values=out_i),
-                         limit=PathRecord(times=times, values=out_l))
+                         interacting=PathRecord(times=times, values=values[:, 0]),
+                         limit=PathRecord(times=times, values=values[:, 1]))
 
 
 def simulate_mollified(config: SimConfig, model: ModelSpec, n: int, initial_law) -> PathRecord:

@@ -13,37 +13,54 @@ import numpy as np
 
 
 class EmpiricalMeasure:
-    """Uniformly weighted sample set, stored sorted."""
+    """Uniformly weighted sample set, stored sorted.
+
+    With stacked=True the samples are a (K, n) array of K sample sets, one
+    per row; `mean`, `integrate` and `moment` then give (K, 1) columns,
+    each row reduced exactly as a set of its own would be.
+    """
 
     __slots__ = ("samples", "_mean")
 
-    def __init__(self, samples, presorted: bool = False):
-        arr = np.asarray(samples, dtype=float).ravel()
-        if arr.size == 0:
+    def __init__(self, samples, presorted: bool = False, stacked: bool = False):
+        arr = np.asarray(samples, dtype=float)
+        if not stacked:
+            arr = arr.ravel()
+        elif arr.ndim != 2:
+            raise ValueError(f"a stacked empirical measure needs a (K, n) array, got {arr.shape}")
+        if arr.shape[-1] == 0:
             raise ValueError("empirical measure needs at least one sample")
         if not np.isfinite(arr).all():
             raise ValueError("samples must be finite")
-        self.samples = arr if presorted else np.sort(arr)
+        self.samples = arr if presorted else np.sort(arr, axis=-1)
         self._mean = None
 
     @property
     def n(self) -> int:
-        return len(self.samples)
+        return self.samples.shape[-1]
+
+    def _average(self, values):
+        values = np.asarray(values)
+        if self.samples.ndim == 1:
+            return float(values.mean())
+        return values.mean(axis=1, keepdims=True)
 
     @property
-    def mean(self) -> float:
+    def mean(self):
         if self._mean is None:
-            self._mean = float(self.samples.mean())
+            self._mean = self._average(self.samples)
         return self._mean
 
-    def integrate(self, f) -> float:
+    def integrate(self, f):
         """Mean of f over the samples (f vectorized over ndarray)."""
-        return float(np.mean(f(self.samples)))
+        return self._average(f(self.samples))
 
-    def moment(self, p: float) -> float:
-        return float(np.mean(np.abs(self.samples) ** p))
+    def moment(self, p: float):
+        return self._average(np.abs(self.samples) ** p)
 
     def __repr__(self) -> str:
+        if self.samples.ndim == 2:
+            return f"EmpiricalMeasure(rows={self.samples.shape[0]}, n={self.n})"
         return f"EmpiricalMeasure(n={self.n}, mean={self.mean:.4g})"
 
 
@@ -57,12 +74,12 @@ def w1_sorted_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     In one dimension W1 is the L1 distance between the quantile functions.
     When the larger count is r times the smaller, order statistic i of the
     smaller row faces order statistics i*r .. i*r+r-1 of the larger, so W1 is
-    the mean of those gaps. They are formed a block of rows at a time in one
-    buffer of about 1 MiB, never as a repeated copy of the smaller row, and
-    each row is summed in the same pairwise order as
-    `np.abs(np.repeat(small, r, axis=1) - big).mean(axis=1)`, so the result
-    has the same bits. Counts that do not nest use the L1 distance between
-    the two empirical CDFs, row by row.
+    the mean of those gaps. They are formed a block of rows of about 1 MiB
+    at a time, as `np.abs(np.repeat(small, r, axis=1) - big).mean(axis=1)`
+    evaluated in place, so the whole stack is never expanded at once. Either
+    stack may be a read-only broadcast, such as one reference row repeated
+    with `np.broadcast_to` for every row of the other. Counts that do not
+    nest use the L1 distance between the two empirical CDFs, row by row.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -84,13 +101,12 @@ def w1_sorted_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return out
     r = nb // ns
     block = max(1, _W1_BLOCK_BYTES // (8 * nb))
-    buf = np.empty((min(block, rows), ns, r))
     for a in range(0, rows, block):
         b = min(a + block, rows)
-        gaps = buf[:b - a]
-        np.subtract(small[a:b, :, None], big[a:b].reshape(b - a, ns, r), out=gaps)
+        gaps = np.repeat(small[a:b], r, axis=1)
+        np.subtract(gaps, big[a:b], out=gaps)
         np.abs(gaps, out=gaps)
-        out[a:b] = gaps.reshape(b - a, nb).mean(axis=1)
+        out[a:b] = gaps.mean(axis=1)
     return out
 
 

@@ -9,7 +9,12 @@ claims on random tuples; it can only certify that no violation was found.
 
 Coefficients are vectorized: x may be an ndarray (one entry per particle)
 and the segment argument may be a batch; the measure argument is a single
-EmpiricalMeasure shared by all particles of a step.
+EmpiricalMeasure shared by all particles of a step. When the engine steps a
+stack of K systems together, x is (K, N) with one system per row, and the
+segment batch is stacked the same way. The measure is then either one
+shared measure (a frozen flow's) or a stacked EmpiricalMeasure whose `mean`
+is a (K, 1) column, one entry per row, so a term written `c * mu.mean`
+broadcasts row by row. Coefficients must act elementwise across rows.
 """
 
 from __future__ import annotations
@@ -29,6 +34,9 @@ class ModelError(Exception):
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """Coefficients and declared constants; x may be (N,) or a (K, N) stack,
+    and mu.mean a float or a (K, 1) column (see the module docstring)."""
+
     name: str
     drift: Callable          # (t, x, mu) -> like x
     path_drift: Callable     # (t, segment-or-batch, mu) -> per-particle values

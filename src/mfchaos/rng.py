@@ -12,7 +12,7 @@ with platform-dependent rounding.
 
 from __future__ import annotations
 
-import functools
+import threading
 
 import numpy as np
 from scipy.special import ndtri
@@ -31,26 +31,43 @@ def derive_seed(*ids: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@functools.lru_cache(maxsize=1024)
-def _philox_key(seed: int, stream: int) -> np.ndarray:
-    """The Philox key of (seed, stream), derived once; read-only, since it is shared."""
-    key = np.random.SeedSequence(entropy=(seed, stream)).generate_state(2, np.uint64)
-    key.flags.writeable = False
-    return key
+# one generator per (seed, stream) and thread, rewound to each step's counter block
+_kept = threading.local()
+_KEPT_MAX = 1024
 
 
 def _philox(seed: int, stream: int, step: int) -> np.random.Generator:
-    # Each step owns a disjoint 2^64-block slice of the counter space.
-    bg = np.random.Philox(key=_philox_key(int(seed), int(stream)), counter=int(step) << 64)
-    return np.random.Generator(bg)
+    kept = getattr(_kept, "generators", None)
+    if kept is None:
+        kept = _kept.generators = {}
+    ident = (int(seed), int(stream))
+    entry = kept.get(ident)
+    if entry is None:
+        if len(kept) >= _KEPT_MAX:
+            del kept[next(iter(kept))]   # the oldest entry
+        key = np.random.SeedSequence(entropy=ident).generate_state(2, np.uint64)
+        bg = np.random.Philox(key=key)
+        entry = kept[ident] = (np.random.Generator(bg), bg, bg.state)
+    gen, bg, state = entry
+    # Each step owns a disjoint 2^64-block slice of the counter space: the
+    # counter is [0, step, 0, 0] with an empty output buffer, exactly as a
+    # new Philox(key=key, counter=step << 64) starts.
+    state["state"]["counter"][:] = (0, int(step), 0, 0)
+    state["buffer_pos"] = 4
+    state["has_uint32"] = 0
+    state["uinteger"] = 0
+    bg.state = state
+    return gen
 
 
 def uniforms(seed: int, stream: int, step: int, n: int) -> np.ndarray:
     """n uniforms in the open interval (0, 1), pure in (seed, stream, step, i)."""
-    g = _philox(seed, stream, step)
-    return (g.integers(0, _U53, size=n, dtype=np.int64) + 0.5) / _U53
+    u = _philox(seed, stream, step).integers(0, _U53, size=n, dtype=np.int64) + 0.5
+    u /= _U53
+    return u
 
 
 def normals(seed: int, stream: int, step: int, n: int) -> np.ndarray:
     """n standard normals via inverse CDF; element i depends only on its index."""
-    return ndtri(uniforms(seed, stream, step, n))
+    u = uniforms(seed, stream, step, n)
+    return ndtri(u, out=u)

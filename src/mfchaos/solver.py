@@ -91,6 +91,10 @@ class MeasureFlow:
             raise ValueError("flows live on different grids")
         return w1_sorted_rows(self.values, other.values)
 
+    def w1_at(self, k: int, rows: np.ndarray) -> np.ndarray:
+        """W1 between the measure at grid time k and each row of a row-sorted stack."""
+        return w1_sorted_rows(rows, np.broadcast_to(self.values[k], (len(rows), self.m)))
+
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("t,sample_index,value\n")

@@ -179,7 +179,7 @@ class MollifiedSigma:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        shifted = x[:, None] - self.nodes[None, :] / self.n
+        shifted = x[..., None] - self.nodes / self.n
         vals = self.model.sigma(t, shifted)
         out = np.asarray(vals, dtype=float) @ self.weights
         return float(out[0]) if scalar else out

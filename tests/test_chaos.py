@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mfchaos.chaos import (build_reference_flow, coupling_error_curve,
-                           estimate_chaos_rate, fit_loglog,
+from mfchaos import rng
+from mfchaos.chaos import (RunDiagnostics, _one_coupled_run, build_reference_flow,
+                           coupling_error_curve, estimate_chaos_rate, fit_loglog,
                            marginal_tv_study, oracle_mean_flow,
                            stability_perturbation_test, theoretical_exponent)
-from mfchaos.engine import (ConstantLaw, GaussianLaw, SimConfig,
+from mfchaos.engine import (BlowUpError, ConstantLaw, GaussianLaw, SimConfig,
                             simulate_coupled, simulate_interacting)
 from mfchaos.measures import pinsker_check
-from mfchaos.model import make_delay_model, make_linear_model, make_sqrt_model
+from mfchaos.model import ModelError, make_delay_model, make_linear_model, make_sqrt_model
 from mfchaos.solver import MeasureFlow
 
 GAUSS = GaussianLaw(1.0, 0.5)
@@ -130,6 +133,58 @@ class TestChaosRate:
         coupled = simulate_coupled(cfg, mdl, ref)
         plain = simulate_interacting(cfg, mdl, GAUSS)
         assert np.array_equal(coupled.interacting.values, plain.values)
+
+
+class TestStackedReplicas:
+    """The per-N task steps every replica of both twins as one stack."""
+
+    @pytest.mark.parametrize("name", ["linear", "delay"])
+    def test_replicas_match_standalone_coupled_runs(self, name):
+        if name == "linear":
+            mdl, cfg = make_linear_model(), SimConfig(T=0.4, dt=0.02, N=16, seed=31)
+        else:
+            mdl = make_delay_model(beta=0.5, r=0.06, a=-0.3, sigma0=0.3, m="uniform", atoms=4)
+            cfg = SimConfig(T=0.4, dt=0.02, N=16, seed=31, r=0.06)
+        ref = build_reference_flow(cfg, mdl, GAUSS, M=256)
+        for N in (16, 24):   # nesting with M and not
+            runs = _one_coupled_run(cfg, mdl, ref, N, 3, cfg.seed)
+            assert len(runs) == 3
+            for r, got in enumerate(runs):
+                seed = rng.derive_seed(cfg.seed, N, r)
+                rec = simulate_coupled(replace(cfg, N=N, seed=seed), mdl, ref)
+                hat = float(np.max(ref.w1_curve(MeasureFlow.from_record(rec.interacting))))
+                tld = float(np.max(ref.w1_curve(MeasureFlow.from_record(rec.limit))))
+                pair = float(np.max(rec.error_curve))
+                want = RunDiagnostics(N=N, replica=r, seed=seed, w1_sup=hat, pairing_sup=pair,
+                                      limit_w1_sup=tld, triangle_ok=hat <= pair + tld + 1e-12)
+                assert repr(got) == repr(want)
+
+    def test_blow_up_names_the_particle_and_step_of_the_first_replica_to_fail(self):
+        cubic = replace(make_linear_model(sigma0=0.5),
+                        drift=lambda t, x, mu: np.asarray(x, dtype=float) ** 3)
+        cfg = SimConfig(T=10.0, dt=0.25, N=4, seed=18)
+        law = GaussianLaw(0.0, 0.5)
+        flow = MeasureFlow.constant_flow(cfg.times, [0.0, 1.0], initial_law=law)
+        alone = []
+        with np.errstate(over="ignore"):
+            with pytest.raises(BlowUpError) as stacked:
+                _one_coupled_run(cfg, cubic, flow, 4, 5, cfg.seed)
+            for r in range(5):
+                seed = rng.derive_seed(cfg.seed, 4, r)
+                with pytest.raises(BlowUpError) as one:
+                    simulate_coupled(replace(cfg, seed=seed), cubic, flow)
+                alone.append((one.value.step, r, one.value.particle))
+        step, first, particle = min(alone)
+        assert first > 0 and len({step for step, _, _ in alone}) > 1
+        assert (stacked.value.step, stacked.value.particle) == (step, particle)
+
+    def test_bad_coefficient_at_sane_state_is_model_error(self):
+        nan_sigma = replace(make_linear_model(), sigma=lambda t, x: np.where(
+            np.asarray(x) > 1.0, np.nan, 0.1))
+        cfg = SimConfig(T=1.0, dt=0.1, N=4, seed=0)
+        flow = MeasureFlow.constant_flow(cfg.times, [2.0], initial_law=ConstantLaw(2.0))
+        with pytest.raises(ModelError, match="non-finite"):
+            _one_coupled_run(cfg, nan_sigma, flow, 4, 3, cfg.seed)
 
 
 class TestCouplingCurve:

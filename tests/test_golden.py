@@ -2,26 +2,34 @@
 
 Relative tests (reruns agree, worker counts agree) pass even when a
 refactor changes every number. These pin the exact output bits: the
-SHA-256 of `.tobytes()` for the noise streams and one coupled run, and of
-the CSV bytes of a small rate sweep that goes through both the nested
-W1 path (sample counts dividing the reference size) and the general one.
-A change that alters any digest on purpose must say why in CHANGES.md.
+SHA-256 of `.tobytes()` for the noise streams, for short runs of every
+stepping path (interacting, coupled, by hand, Picard) on the linear,
+`sqrt` and path-dependent `delay` models, and of the CSV bytes of small
+rate and coupling sweeps that go through both the nested W1 path (sample
+counts dividing the reference size) and the general one. A change that
+alters any digest on purpose must say why in CHANGES.md.
 """
 
 import hashlib
+import warnings
 
+import numpy as np
 import pytest
 
 from mfchaos import rng
-from mfchaos.chaos import build_reference_flow, estimate_chaos_rate
-from mfchaos.engine import GaussianLaw, SimConfig, simulate_coupled
-from mfchaos.model import make_linear_model
+from mfchaos.chaos import build_reference_flow, coupling_error_curve, estimate_chaos_rate
+from mfchaos.engine import (GaussianLaw, ParticleEnsemble, SimConfig, simulate_coupled,
+                            simulate_interacting, step_interacting)
+from mfchaos.model import make_delay_model, make_linear_model, make_sqrt_model
+from mfchaos.solver import solve_fixed_point
 
 SEED = 20260810
 CFG = SimConfig(T=0.2, dt=0.02, N=16, seed=SEED)
 REF_M = 512
 NESTED_N = [16, 128, 512, 1024]    # below, at and above REF_M, nesting with it
 NON_NESTED_N = [24, 40, 96]        # none divides REF_M, none is a multiple of it
+# uniform delay atoms at lags -0.06, -0.04, -0.02, 0 sit on the step grid
+DELAY_CFG = SimConfig(T=0.2, dt=0.02, N=32, seed=SEED, r=0.06)
 
 GOLDEN = {
     "normals":
@@ -40,6 +48,26 @@ GOLDEN = {
         "0790abfe5a7e0c3d6ac3b58ac9f68d0c0a47ce99569b4e7a678ae80dd029e768",
     "non_nested.runs.csv":
         "3fc027a9fda86ebb389f470d25d1fbd173cf176e30c32cdb47d3051d59835d99",
+    "sqrt.interacting":
+        "a52933e9ce4eb5edcfbecddaafe4f421632c88f53aaa6f6b9663dac72a3b0d85",
+    "sqrt.coupled.interacting":
+        "a52933e9ce4eb5edcfbecddaafe4f421632c88f53aaa6f6b9663dac72a3b0d85",
+    "sqrt.coupled.limit":
+        "8db0aabc75c09b56cc08791f98db773a552a6218aeb03e5362387a42f37852f6",
+    "delay.interacting":
+        "1c50c4a867db1a68668b5a411ab83cb037342318d2368cd4a3636cd74bf48eba",
+    "delay.coupled.interacting":
+        "1c50c4a867db1a68668b5a411ab83cb037342318d2368cd4a3636cd74bf48eba",
+    "delay.coupled.limit":
+        "1c50c4a867db1a68668b5a411ab83cb037342318d2368cd4a3636cd74bf48eba",
+    "step_interacting":
+        "0b1f22178bba38b56f3cdacbdf757be2c173fb113a81abb879ae1b697d8d1494",
+    "solve.flow":
+        "9f004def77f374d81d14a4894c4bb3fa229105ecb310a2dba5586235c3079b68",
+    "solve.rhos":
+        "cffce14ed27d9cc9384568756f735e0f4bd0deae6ee7e72535d5041a1efa2588",
+    "coupling.csv":
+        "5436265c2b2d4174af21ae7e01112d9e4593966b79c1c7da4604ee7763db84cc",
 }
 
 
@@ -73,3 +101,56 @@ def test_rate_sweep_csv(reference, tmp_path, label, N_list):
     rep.write_runs_csv(tmp_path / "runs.csv")
     assert sha((tmp_path / "rate.csv").read_bytes()) == GOLDEN[f"{label}.rate.csv"]
     assert sha((tmp_path / "runs.csv").read_bytes()) == GOLDEN[f"{label}.runs.csv"]
+
+
+def delay_model():
+    return make_delay_model(beta=0.5, r=0.06, a=-0.3, sigma0=0.3, m="uniform", atoms=4)
+
+
+def test_sqrt_runs():
+    mdl = make_sqrt_model()
+    law = GaussianLaw(1.0, 0.5)
+    cfg = SimConfig(T=0.2, dt=0.02, N=64, seed=SEED)
+    rec = simulate_interacting(cfg, mdl, law)
+    assert sha(rec.values.tobytes()) == GOLDEN["sqrt.interacting"]
+    ref = build_reference_flow(cfg, mdl, law, M=256)
+    pair = simulate_coupled(cfg, mdl, ref)
+    assert sha(pair.interacting.values.tobytes()) == GOLDEN["sqrt.coupled.interacting"]
+    assert sha(pair.limit.values.tobytes()) == GOLDEN["sqrt.coupled.limit"]
+
+
+def test_delay_runs():
+    mdl = delay_model()
+    law = GaussianLaw(1.0, 0.5)
+    rec = simulate_interacting(DELAY_CFG, mdl, law)
+    assert sha(rec.values.tobytes()) == GOLDEN["delay.interacting"]
+    ref = build_reference_flow(DELAY_CFG, mdl, law, M=256)
+    pair = simulate_coupled(DELAY_CFG, mdl, ref)
+    assert sha(pair.interacting.values.tobytes()) == GOLDEN["delay.coupled.interacting"]
+    assert sha(pair.limit.values.tobytes()) == GOLDEN["delay.coupled.limit"]
+
+
+def test_step_interacting_by_hand():
+    mdl = delay_model()
+    ens = ParticleEnsemble.from_law(DELAY_CFG, GaussianLaw(1.0, 0.5))
+    states = []
+    for k in range(3):
+        step_interacting(ens, mdl, k * DELAY_CFG.dt, DELAY_CFG.dt, seed=SEED)
+        states.append(ens.current.copy())
+    assert sha(np.array(states).tobytes()) == GOLDEN["step_interacting"]
+
+
+def test_picard_solve():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # tol sits below the noise floor at M=64
+        res = solve_fixed_point(CFG, make_linear_model(), GaussianLaw(1.0, 0.5), M=64,
+                                max_iter=3)
+    assert sha(res.flow.values.tobytes()) == GOLDEN["solve.flow"]
+    assert sha(np.array(res.rhos + [res.noise_floor]).tobytes()) == GOLDEN["solve.rhos"]
+
+
+def test_coupling_sweep_csv(reference, tmp_path):
+    mdl, ref = reference
+    rep = coupling_error_curve(CFG, mdl, ref, [16, 32, 64], 2)
+    rep.write_csv(tmp_path / "coupling.csv")
+    assert sha((tmp_path / "coupling.csv").read_bytes()) == GOLDEN["coupling.csv"]

@@ -25,6 +25,28 @@ def w1_bruteforce(x, y):
     return best
 
 
+class TestStackedMeasure:
+    @pytest.mark.parametrize("K", [1, 2, 20, 40])
+    def test_row_means_match_single_measures_bitwise(self, K):
+        # the engine steps stacks on this: a row's mean never depends on its neighbours
+        gen = np.random.default_rng(K)
+        for n in (1, 2, 7, 127, 128, 129, 1000, 4096, 65537):
+            rows = gen.normal(1.0, 0.5, size=(K, n))
+            stack = EmpiricalMeasure(np.sort(rows, axis=1), presorted=True, stacked=True)
+            single = [EmpiricalMeasure(row) for row in rows]
+            assert stack.mean.shape == (K, 1)
+            assert stack.mean.tobytes() == np.array([[m.mean] for m in single]).tobytes()
+            assert stack.moment(3.0).tobytes() == np.array(
+                [[m.moment(3.0)] for m in single]).tobytes()
+
+    def test_sorts_each_row_and_checks_shape(self):
+        mu = EmpiricalMeasure([[3.0, 1.0], [0.0, -2.0]], stacked=True)
+        assert np.array_equal(mu.samples, [[1.0, 3.0], [-2.0, 0.0]])
+        assert mu.n == 2
+        with pytest.raises(ValueError):
+            EmpiricalMeasure([1.0, 2.0], stacked=True)
+
+
 class TestW1:
     def test_identity(self):
         mu = EmpiricalMeasure([0.3, -1.2, 5.0])
@@ -164,6 +186,33 @@ class TestW1Kernel:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
         assert got.tobytes() == w1_rows_repeat(xs, ys).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 6), n=st.integers(1, 24),
+           m=st.integers(1, 24), nested=st.booleans())
+    def test_broadcast_row_matches_materialised_bitwise(self, data, rows, n, m, nested):
+        # one reference row against every row of a stack, as a sweep scores a step
+        m = n * m if nested else m
+        xs = data.draw(sorted_rows(rows, n))
+        y = data.draw(sorted_rows(1, m))[0]
+        want = w1_sorted_rows(xs, np.tile(y, (rows, 1))).tobytes()
+        assert w1_sorted_rows(xs, np.broadcast_to(y, (rows, m))).tobytes() == want
+        assert w1_sorted_rows(np.broadcast_to(y, (rows, m)), xs).tobytes() == want
+
+    def test_broadcast_reference_row_stays_small(self):
+        # one sweep step: 2 x 20 rows of N=64 against one M=32768 reference row
+        rng = np.random.default_rng(43)
+        xs = np.sort(rng.normal(size=(40, 64)), axis=1)
+        y = np.sort(rng.normal(size=32768))
+        want = w1_sorted_rows(xs, np.tile(y, (40, 1))).tobytes()
+        tracemalloc.start()
+        try:
+            got = w1_sorted_rows(xs, np.broadcast_to(y, (40, 32768)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert got.tobytes() == want
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):
