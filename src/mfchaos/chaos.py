@@ -7,6 +7,9 @@ sup-in-time W1 error over replicas, and fits a log-log slope to compare
 with the theoretical exponent min(1/2, (p-1)/p). Every run also records
 the synchronous-coupling quantities, so the exact per-run triangle
 inequality through the i.i.d.-copies empirical measure is checked for free.
+
+Every experiment steps stacks through the engine's one loop (all replicas
+of one N together), and sweeps over N share one thread pool (`_per_n`).
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import rng
-from .engine import (ConstantLaw, SimConfig, coupled_stack, make_initial_law,
-                     simulate_frozen, simulate_interacting)
+from . import engine, rng
+from .engine import (ConstantLaw, ParticleEnsemble, SimConfig, coupled_stack,
+                     make_initial_law, simulate_frozen, simulate_interacting)
 from .engine import simulate_coupled  # noqa: F401  (perfbench/tracer.py wraps it by this name)
 from .model import ModelSpec
 from .solver import MeasureFlow
@@ -85,9 +88,10 @@ def build_reference_flow(config: SimConfig, model: ModelSpec, initial_law, M: in
 
     For the zoo models the frozen dynamics at the mean flow coincide with
     the mean-field limit of the scheme, so this is an M-sample draw of the
-    limit law at every grid time.
+    limit law at every grid time. It steps with one worker (see `_per_n`).
     """
     seed = rng.derive_seed(config.seed, _REF_STREAM) if seed is None else seed
+    config = replace(config, workers=1)
     mean_flow = oracle_mean_flow(config, model, initial_law)
     rec = simulate_frozen(config, model, mean_flow, M, seed)
     out = MeasureFlow.from_record(rec, tag=f"reference-M{M}", initial_law=mean_flow.initial_law)
@@ -167,18 +171,33 @@ def _one_coupled_run(config: SimConfig, model: ModelSpec, reference: MeasureFlow
     return runs
 
 
+def _per_n(task, sizes, workers: int) -> list:
+    """task(N) for each N in sizes, in that order; with workers > 1 on one
+    thread pool, largest N first. Tasks must step with one worker."""
+    if workers <= 1:
+        return [task(N) for N in sizes]
+    order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futs = {i: pool.submit(task, sizes[i]) for i in order}
+    return [futs[i].result() for i in range(len(sizes))]
+
+
 def _coupled_sweep(config: SimConfig, model: ModelSpec, reference: MeasureFlow,
                    N_list, replicas: int, workers: int = 1) -> list[RunDiagnostics]:
-    sizes = [int(N) for N in N_list]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_one_coupled_run, config, model, reference, N, replicas,
-                                config.seed) for N in sizes]
-            per_n = [f.result() for f in futs]   # task order, not completion order
-    else:
-        per_n = [_one_coupled_run(config, model, reference, N, replicas, config.seed)
-                 for N in sizes]
+    one = replace(config, workers=1)
+    per_n = _per_n(lambda N: _one_coupled_run(one, model, reference, N, replicas, config.seed),
+                   [int(N) for N in N_list], workers)
     return [d for runs in per_n for d in runs]
+
+
+def _per_n_stats(N_list, runs, field: str, replicas: int) -> tuple[np.ndarray, np.ndarray]:
+    """Replica mean and standard error of one RunDiagnostics field per N."""
+    per_n = {n: [] for n in N_list}
+    for d in runs:
+        per_n[d.N].append(getattr(d, field))
+    means = np.array([np.mean(per_n[n]) for n in N_list])
+    stderrs = np.array([np.std(per_n[n], ddof=1) / np.sqrt(max(replicas, 2)) for n in N_list])
+    return means, stderrs
 
 
 def estimate_chaos_rate(config_base: SimConfig, model: ModelSpec, N_list, replicas: int,
@@ -192,11 +211,7 @@ def estimate_chaos_rate(config_base: SimConfig, model: ModelSpec, N_list, replic
     if replicas < 2:
         raise ValueError("need at least two replicas for standard errors")
     runs = _coupled_sweep(config_base, model, reference, N_list, replicas, workers)
-    per_n = {n: [] for n in N_list}
-    for d in runs:
-        per_n[d.N].append(d.w1_sup)
-    means = np.array([np.mean(per_n[n]) for n in N_list])
-    stderrs = np.array([np.std(per_n[n], ddof=1) / np.sqrt(replicas) for n in N_list])
+    means, stderrs = _per_n_stats(N_list, runs, "w1_sup", replicas)
     slope, intercept, sst = fit_loglog(N_list, means)
     return RateReport(N_list=N_list, error_mean=means, error_stderr=stderrs,
                       slope=slope, intercept=intercept, slope_stderr=sst,
@@ -211,11 +226,7 @@ class CouplingReport:
     slope: float
     runs: list[RunDiagnostics]
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("N,error_mean,error_stderr\n")
-            for nv, em, es in zip(self.N_list, self.error_mean, self.error_stderr):
-                fh.write(f"{nv},{float(em)!r},{float(es)!r}\n")
+    write_csv = RateReport.write_csv
 
 
 def coupling_error_curve(config_base: SimConfig, model: ModelSpec, reference: MeasureFlow,
@@ -223,11 +234,7 @@ def coupling_error_curve(config_base: SimConfig, model: ModelSpec, reference: Me
     """Per-N sup-t pathwise gap between each particle and its mean-field twin."""
     N_list = [int(n) for n in N_list]
     runs = _coupled_sweep(config_base, model, reference, N_list, replicas, workers)
-    per_n = {n: [] for n in N_list}
-    for d in runs:
-        per_n[d.N].append(d.pairing_sup)
-    means = np.array([np.mean(per_n[n]) for n in N_list])
-    stderrs = np.array([np.std(per_n[n], ddof=1) / np.sqrt(max(replicas, 2)) for n in N_list])
+    means, stderrs = _per_n_stats(N_list, runs, "pairing_sup", replicas)
     slope = fit_loglog(N_list, means)[0] if len(N_list) >= 3 and np.all(means > 0) else float("nan")
     return CouplingReport(N_list=N_list, error_mean=means, error_stderr=stderrs,
                           slope=slope, runs=runs)
@@ -268,6 +275,8 @@ def marginal_tv_study(config_base: SimConfig, model: ModelSpec, reference: Measu
             "the total-variation study requires one")
     if reference.initial_law is None:
         raise ValueError("reference flow carries no initial law to sample runs from")
+    if replicas < 1:
+        raise ValueError("need at least one replica")
     N_list = [int(n) for n in N_list]
     times = [float(t) for t in times]
     k_idx = []
@@ -277,26 +286,23 @@ def marginal_tv_study(config_base: SimConfig, model: ModelSpec, reference: Measu
             raise ValueError(f"study time {t!r} is not on the simulation grid")
         k_idx.append(k)
 
-    def run_pool(N: int) -> list[np.ndarray]:
-        pools = [[] for _ in k_idx]
-        for rep in range(replicas):
-            seed = rng.derive_seed(config_base.seed, N, rep)
-            cfg = replace(config_base, N=N, seed=seed)
-            rec = simulate_interacting(cfg, model, reference.initial_law)
-            for slot, k in enumerate(k_idx):
-                pools[slot].append(rec.values[k])
-        return [np.concatenate(p) for p in pools]
+    def run_pool(N: int) -> dict[int, np.ndarray]:
+        seeds = [rng.derive_seed(config_base.seed, N, rep) for rep in range(replicas)]
+        cfg = replace(config_base, N=N, workers=1)
+        ens = ParticleEnsemble.from_law(cfg, reference.initial_law, seed=seeds)
+        pools = {}
+
+        def keep(k, x, xs):
+            if k in k_idx:
+                pools[k] = x.flatten()   # a copy: x is a view of the ring buffer
+        engine._run(cfg, model, ens, seeds, observe=keep, record=False)
+        return pools
 
     table = np.empty((len(N_list), len(times)))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_pool, N_list))
-    else:
-        results = [run_pool(N) for N in N_list]
-    for i, pools in enumerate(results):
+    for i, pools in enumerate(_per_n(run_pool, N_list, workers)):
         for j, k in enumerate(k_idx):
             ref = reference.measure_at(k)
-            table[i, j] = tv_estimate(EmpiricalMeasure(pools[j]), ref, bin_width)
+            table[i, j] = tv_estimate(EmpiricalMeasure(pools[k]), ref, bin_width)
     return TvStudyReport(N_list=N_list, times=times, table=table)
 
 
@@ -316,28 +322,15 @@ class StabilityResult:
         return float(np.max(self.mean_abs_diff) / self.delta) if self.delta > 0 else 0.0
 
 
-class _ShiftedLaw:
-    def __init__(self, base, delta: float):
-        self.base = base
-        self.delta = delta
-        self.name = getattr(base, "name", "shifted")
-
-    def sample(self, seed: int, n: int) -> np.ndarray:
-        return self.base.sample(seed, n) + self.delta
-
-    @property
-    def mean(self) -> float:
-        return self.base.mean + self.delta
-
-
 def stability_perturbation_test(config: SimConfig, model: ModelSpec, delta: float,
                                 initial_law="gaussian") -> StabilityResult:
-    """Two interacting systems on identical noise, initial segments offset
-    by the constant delta; reports the mean absolute gap over time."""
+    """Two interacting systems on identical noise, one stack of two rows with
+    initial segments offset by delta; reports the mean absolute gap over time."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
     law = make_initial_law(initial_law) if isinstance(initial_law, str) else initial_law
-    rec_a = simulate_interacting(config, model, law)
-    rec_b = simulate_interacting(config, model, _ShiftedLaw(law, delta))
-    gap = np.abs(rec_a.values - rec_b.values).mean(axis=1)
-    return StabilityResult(times=rec_a.times, mean_abs_diff=gap, delta=float(delta))
+    x0 = law.sample(config.seed, config.N)
+    ens = ParticleEnsemble(config.r, config.dt, np.array([x0, x0 + delta]), stacked=True)
+    v = engine._run(config, model, ens, [config.seed, config.seed])
+    gap = np.abs(v[:, 0] - v[:, 1]).mean(axis=1)
+    return StabilityResult(times=config.times, mean_abs_diff=gap, delta=float(delta))

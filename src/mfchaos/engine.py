@@ -483,7 +483,7 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
 
 
 def step_interacting(ensemble: ParticleEnsemble, model: ModelSpec, t: float,
-                     dt: float, seed: int, workers: int = 1) -> ParticleEnsemble:
+                     dt: float, seed: int) -> ParticleEnsemble:
     """One synchronous update of the interacting system.
 
     The empirical measure is built from the full current state before any
@@ -495,7 +495,7 @@ def step_interacting(ensemble: ParticleEnsemble, model: ModelSpec, t: float,
         raise EngineError(
             f"time {t!r} does not match the ensemble's step counter "
             f"({ensemble.step_index} steps of dt={dt})")
-    cfg = SimConfig(T=dt, dt=dt, N=ensemble.n, seed=seed, r=ensemble.r, workers=workers)
+    cfg = SimConfig(T=dt, dt=dt, N=ensemble.n, seed=seed, r=ensemble.r)
     _run(cfg, model, ensemble, seed, record=False)
     return ensemble
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .model import ModelSpec
 
@@ -138,6 +137,7 @@ def _bump_raw(u):
 
 @lru_cache(maxsize=1)
 def _bump_normalization() -> float:
+    from scipy.integrate import quad   # lazy: only the audits need it
     z, _ = quad(_bump_raw, -1.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
     return z
 
@@ -150,6 +150,7 @@ def bump(u):
 @lru_cache(maxsize=16)
 def rho_moment(alpha: float) -> float:
     """Integral of |u|^alpha * rho(u) over [-1, 1] by adaptive quadrature."""
+    from scipy.integrate import quad
     val, _ = quad(lambda u: abs(u) ** alpha * bump(u),
                   -1.0, 1.0, points=[0.0], epsabs=1e-14, epsrel=1e-13, limit=200)
     return val

@@ -1,9 +1,10 @@
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mfchaos import rng
+from mfchaos import chaos, engine, rng
 from mfchaos.chaos import (RunDiagnostics, _one_coupled_run, build_reference_flow,
                            coupling_error_curve, estimate_chaos_rate, fit_loglog,
                            marginal_tv_study, oracle_mean_flow,
@@ -187,6 +188,63 @@ class TestStackedReplicas:
             _one_coupled_run(cfg, nan_sigma, flow, 4, 3, cfg.seed)
 
 
+class TestPerNDispatch:
+    """One pool over N for every sweep: largest N first, results in order."""
+
+    def test_largest_N_submitted_first_and_results_in_order(self, monkeypatch):
+        submitted = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, N):
+                submitted.append(N)
+                fut = Future()
+                fut.set_result((N, len(submitted)))
+                return fut
+
+        monkeypatch.setattr(chaos, "ThreadPoolExecutor", StubPool)
+        sizes = [64, 4096, 16, 4096, 256]
+        out = chaos._per_n(lambda N: N, sizes, 2)
+        assert submitted == [4096, 4096, 256, 64, 16]
+        assert out == [(64, 4), (4096, 1), (16, 5), (4096, 2), (256, 3)]
+
+    def test_duplicate_sizes_come_back_in_N_list_order(self, linear_setup):
+        mdl, ref = linear_setup
+        N_list = [64, 16, 64]
+        one = coupling_error_curve(CFG, mdl, ref, N_list, 2, workers=1)
+        two = coupling_error_curve(CFG, mdl, ref, N_list, 2, workers=2)
+        assert [d.N for d in two.runs] == [64, 64, 16, 16, 64, 64]
+        assert repr(two.runs) == repr(one.runs)
+        assert two.error_mean.tobytes() == one.error_mean.tobytes()
+
+    def test_sweep_tasks_never_split_particles(self, linear_setup, monkeypatch):
+        chunked = engine._chunked
+        slices = []
+
+        def spy(n, workers):
+            out = chunked(n, workers)
+            slices.append(len(out))
+            return out
+
+        monkeypatch.setattr(engine, "_chunked", spy)
+        mdl, ref = linear_setup
+        cfg = replace(CFG, workers=2)
+        simulate_interacting(cfg, mdl, GAUSS)   # outside a sweep the chunk pool still runs
+        assert max(slices) == 2
+        slices.clear()
+        estimate_chaos_rate(cfg, mdl, N_SMALL, 2, ref, workers=2)
+        marginal_tv_study(cfg, mdl, ref, N_SMALL, 2, [0.5], workers=2)
+        assert slices and max(slices) == 1
+
+
 class TestCouplingCurve:
     def test_self_coupling_zeros(self):
         mdl = make_linear_model()
@@ -217,6 +275,11 @@ class TestTvStudy:
         assert bare.sigma_sq_floor == 0.0
         with pytest.raises(ValueError, match="sigma_sq_floor"):
             marginal_tv_study(CFG, bare, ref, N_SMALL, 4, [0.5])
+
+    def test_requires_a_replica(self, linear_setup):
+        mdl, ref = linear_setup
+        with pytest.raises(ValueError, match="at least one replica"):
+            marginal_tv_study(CFG, mdl, ref, N_SMALL, 0, [0.5])
 
     def test_decreasing_trend_in_N(self, linear_setup):
         mdl, ref = linear_setup

@@ -4,8 +4,9 @@ Relative tests (reruns agree, worker counts agree) pass even when a
 refactor changes every number. These pin the exact output bits: the
 SHA-256 of `.tobytes()` for the noise streams, for short runs of every
 stepping path (interacting, coupled, by hand, Picard) on the linear,
-`sqrt` and path-dependent `delay` models, and of the CSV bytes of small
-rate and coupling sweeps that go through both the nested W1 path (sample
+`sqrt` and path-dependent `delay` models, of the stability gap on those
+three models, and of the CSV bytes of small rate, coupling and marginal TV
+sweeps, the rate sweeps going through both the nested W1 path (sample
 counts dividing the reference size) and the general one. A change that
 alters any digest on purpose must say why in CHANGES.md.
 """
@@ -17,7 +18,8 @@ import numpy as np
 import pytest
 
 from mfchaos import rng
-from mfchaos.chaos import build_reference_flow, coupling_error_curve, estimate_chaos_rate
+from mfchaos.chaos import (build_reference_flow, coupling_error_curve, estimate_chaos_rate,
+                           marginal_tv_study, stability_perturbation_test)
 from mfchaos.engine import (GaussianLaw, ParticleEnsemble, SimConfig, simulate_coupled,
                             simulate_interacting, step_interacting)
 from mfchaos.model import make_delay_model, make_linear_model, make_sqrt_model
@@ -68,6 +70,16 @@ GOLDEN = {
         "cffce14ed27d9cc9384568756f735e0f4bd0deae6ee7e72535d5041a1efa2588",
     "coupling.csv":
         "5436265c2b2d4174af21ae7e01112d9e4593966b79c1c7da4604ee7763db84cc",
+    "stability.linear":
+        "4d0e8f43d5d64b1d01bd2de3e2a0658a372d507bb3dd5ddc726511a0fecd30f4",
+    "stability.sqrt":
+        "4741fb2937425c27ff443fcad612ef1289e5303bb83a76858395aaec46d94fe6",
+    "stability.delay":
+        "7cf63dfc5fd9b5799084baaf490199bca6297831cc0b86058712b95b67e846a3",
+    "nested.tv.csv":
+        "3c00d8c223dc953326ba2727e3de5b72f4ae5b91f911acc6e815ba00418eb4f3",
+    "delay.tv.csv":
+        "aedb10d6377986b92adf3e648329e6e3a027227995afb908422adb5e8f8462ba",
 }
 
 
@@ -154,3 +166,29 @@ def test_coupling_sweep_csv(reference, tmp_path):
     rep = coupling_error_curve(CFG, mdl, ref, [16, 32, 64], 2)
     rep.write_csv(tmp_path / "coupling.csv")
     assert sha((tmp_path / "coupling.csv").read_bytes()) == GOLDEN["coupling.csv"]
+
+
+@pytest.mark.parametrize("label", ["linear", "sqrt", "delay"])
+def test_stability_gap(label):
+    mdl, cfg = {"linear": (make_linear_model(), CFG),
+                "sqrt": (make_sqrt_model(), CFG),
+                "delay": (delay_model(), DELAY_CFG)}[label]
+    st = stability_perturbation_test(cfg, mdl, 0.1, GaussianLaw(1.0, 0.5))
+    assert sha(np.concatenate([st.times, st.mean_abs_diff]).tobytes()) == \
+        GOLDEN[f"stability.{label}"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tv_study_csv(reference, tmp_path, workers):
+    mdl, ref = reference
+    rep = marginal_tv_study(CFG, mdl, ref, NESTED_N, 2, [0.0, 0.1, 0.2], workers=workers)
+    rep.write_csv(tmp_path / "tv.csv")
+    assert sha((tmp_path / "tv.csv").read_bytes()) == GOLDEN["nested.tv.csv"]
+
+
+def test_delay_tv_study_csv(tmp_path):
+    mdl = delay_model()
+    ref = build_reference_flow(DELAY_CFG, mdl, GaussianLaw(1.0, 0.5), M=256)
+    rep = marginal_tv_study(DELAY_CFG, mdl, ref, [16, 32, 64], 3, [0.06, 0.2])
+    rep.write_csv(tmp_path / "tv.csv")
+    assert sha((tmp_path / "tv.csv").read_bytes()) == GOLDEN["delay.tv.csv"]

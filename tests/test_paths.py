@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mfchaos.engine import ParticleEnsemble
 from mfchaos.paths import DelayMeasure, Segment, l1m_norm, uniform_norm
 
 
@@ -158,3 +163,44 @@ class TestInvariants:
             xi = Segment(1.0, 1.0 / (n - 1), rng.normal(size=n))
             m = DelayMeasure.uniform(1.0, int(rng.integers(1, 9)))
             assert l1m_norm(xi, m) <= uniform_norm(xi) + 1e-12
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 10), n=st.integers(1, 4),
+           h=st.sampled_from([0.02, 0.1, 0.25]), advances=st.integers(0, 25))
+    def test_batch_value_at_matches_segment_interpolate(self, data, width, n, h, advances):
+        # the ensemble's ring buffers and per-particle Segments, advanced
+        # side by side, interpolate to the same bits at any lag
+        r = (width - 1) * h
+        gen = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        init = gen.normal(size=(n, width))
+        ens = ParticleEnsemble(r, h, init)
+        segs = [Segment(r, h, row) for row in init]
+        for _ in range(advances):
+            new = gen.normal(size=n)
+            ens.advance(new)
+            segs = [seg.advance(v) for seg, v in zip(segs, new)]
+        grid = [j * h - r for j in range(width)]
+        lags = grid + data.draw(st.lists(st.floats(-r, 0.0), max_size=5))
+        batch = ens.batch()
+        for s in lags:
+            got = batch.value_at(s)
+            assert got.tobytes() == np.array([seg.interpolate(s) for seg in segs]).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), h=st.sampled_from([0.01, 0.02, 0.1, 0.3]), atoms=st.integers(1, 12))
+    def test_snapped_conserves_mass(self, data, h, atoms):
+        locs = np.array(data.draw(st.lists(st.floats(-2.0, 0.0), min_size=atoms,
+                                           max_size=atoms)))
+        raw = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=atoms,
+                                          max_size=atoms)))
+        m = DelayMeasure(locs, raw / raw.sum())
+        snapped, worst = m.snapped(h)
+        assert math.fsum(snapped.weights) == pytest.approx(math.fsum(m.weights), abs=1e-14)
+        assert worst <= h / 2 + 1e-12
+        # each snapped atom carries exactly the mass of the atoms rounded onto it
+        target = np.minimum(np.round(m.locations / h) * h, 0.0)
+        for loc, w in zip(snapped.locations, snapped.weights):
+            assert w == pytest.approx(math.fsum(m.weights[target == loc]), abs=1e-15)
+        assert len(snapped.locations) == len(np.unique(target))

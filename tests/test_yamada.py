@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -159,3 +163,14 @@ class TestBound:
     def test_bump_is_normalized(self):
         total, _ = quad(bump, -1.0, 1.0, limit=200)
         assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cli_import_leaves_quadrature_unloaded():
+    # only the audits integrate, so loading the CLI must not pay for scipy.integrate
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mfchaos.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
