@@ -25,6 +25,7 @@ from .engine import (ConstantLaw, ParticleEnsemble, SimConfig, coupled_stack,
 from .engine import simulate_coupled  # noqa: F401  (perfbench/tracer.py wraps it by this name)
 from .model import ModelSpec
 from .solver import MeasureFlow
+from .table import write_table
 from .measures import EmpiricalMeasure, tv_estimate
 
 _REF_STREAM = 7   # sub-seed label for reference-flow construction
@@ -125,22 +126,18 @@ class RateReport:
     runs: list[RunDiagnostics]
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("N,error_mean,error_stderr\n")
-            for nv, em, es in zip(self.N_list, self.error_mean, self.error_stderr):
-                fh.write(f"{nv},{float(em)!r},{float(es)!r}\n")
+        write_table(path, "N,error_mean,error_stderr",
+                    [(self.N_list, self.error_mean, self.error_stderr)])
 
     def write_summary_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("slope,stderr,theoretical_exponent\n")
-            fh.write(f"{self.slope!r},{self.slope_stderr!r},{self.theoretical!r}\n")
+        write_table(path, "slope,stderr,theoretical_exponent",
+                    [([self.slope], [self.slope_stderr], [self.theoretical])])
 
     def write_runs_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("N,replica,seed,w1_sup,pairing_sup,limit_w1_sup,triangle_ok\n")
-            for d in self.runs:
-                fh.write(f"{d.N},{d.replica},{d.seed},{d.w1_sup!r},{d.pairing_sup!r},"
-                         f"{d.limit_w1_sup!r},{int(d.triangle_ok)}\n")
+        # seeds straddle 2**63: they stay Python ints, never a numpy column
+        write_table(path, "N,replica,seed,w1_sup,pairing_sup,limit_w1_sup,triangle_ok",
+                    [([d.N], [d.replica], [d.seed], [d.w1_sup], [d.pairing_sup],
+                      [d.limit_w1_sup], [int(d.triangle_ok)]) for d in self.runs])
 
 
 def _one_coupled_run(config: SimConfig, model: ModelSpec, reference: MeasureFlow,
@@ -251,11 +248,9 @@ class TvStudyReport:
     table: np.ndarray    # (len(N_list), len(times)) TV estimates
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("N,t,tv_estimate\n")
-            for i, nv in enumerate(self.N_list):
-                for j, t in enumerate(self.times):
-                    fh.write(f"{nv},{float(t)!r},{float(self.table[i, j])!r}\n")
+        times = [float(t) for t in self.times]
+        write_table(path, "N,t,tv_estimate",
+                    [([nv] * len(times), times, row) for nv, row in zip(self.N_list, self.table)])
 
 
 def marginal_tv_study(config_base: SimConfig, model: ModelSpec, reference: MeasureFlow,

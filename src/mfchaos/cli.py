@@ -4,12 +4,12 @@ Config files are flat `key = value` lines with dotted sections
 (`model.name = linear`, `sim.dt = 0.01`); `#` starts a comment. Flags
 override file values. Every run writes a manifest echoing the resolved
 configuration plus seed and library versions, which is enough to
-reproduce the run byte for byte. Artifacts are staged under a temporary
-name and renamed into place only on success, so a failing run leaves no
-partial output.
+reproduce the run byte for byte. Artifacts are staged in one hidden
+directory inside the output directory and renamed into place (mode
+`0o666 & ~umask`) only on success; a failing run removes that directory.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical blow-up,
-4 non-convergence.
+Exit codes: 0 success, 2 configuration error (bad input, a `ValueError`
+included, as one `config error:` line), 3 numerical blow-up, 4 non-convergence.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import os
+import shutil
 import sys
 import tempfile
 
@@ -26,6 +27,7 @@ import scipy
 from . import __version__, chaos, engine, model as model_mod, solver, yamada
 from .engine import BlowUpError, EngineError, SimConfig
 from .model import ModelError
+from .table import write_table
 
 
 class ConfigError(Exception):
@@ -212,31 +214,23 @@ class RunConfig:
 
 
 class ArtifactWriter:
-    """Stage files under temporary names, publish them all on success."""
+    """Stage files in one hidden directory inside `out_dir`, publish them on success."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
-        self.staged: list[tuple[str, str]] = []
         os.makedirs(out_dir, exist_ok=True)
+        self.staging = tempfile.mkdtemp(prefix=".staging.", dir=out_dir)
 
     def path_for(self, name: str) -> str:
-        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", dir=self.out_dir)
-        os.close(fd)
-        self.staged.append((tmp, os.path.join(self.out_dir, name)))
-        return tmp
+        return os.path.join(self.staging, name)
 
     def commit(self) -> None:
-        for tmp, final in self.staged:
-            os.replace(tmp, final)
-        self.staged = []
+        for name in os.listdir(self.staging):
+            os.replace(os.path.join(self.staging, name), os.path.join(self.out_dir, name))
+        os.rmdir(self.staging)
 
     def abort(self) -> None:
-        for tmp, _ in self.staged:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-        self.staged = []
+        shutil.rmtree(self.staging, ignore_errors=True)
 
 
 def _write_lines(path: str, lines) -> None:
@@ -320,13 +314,10 @@ def _cmd_tv_study(rc: RunConfig, art: ArtifactWriter) -> int:
     cfg, mdl = _sim_and_model(rc)
     ref = _reference(rc, cfg, mdl)
     bw = rc.get_float("chaos.bin_width") if rc.has("chaos.bin_width") else None
-    try:
-        rep = chaos.marginal_tv_study(cfg, mdl, ref, rc.get_ints("chaos.N_list"),
-                                      rc.get_int("chaos.replicas"),
-                                      rc.get_floats("chaos.times"), bin_width=bw,
-                                      workers=cfg.workers)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    rep = chaos.marginal_tv_study(cfg, mdl, ref, rc.get_ints("chaos.N_list"),
+                                  rc.get_int("chaos.replicas"),
+                                  rc.get_floats("chaos.times"), bin_width=bw,
+                                  workers=cfg.workers)
     rep.write_csv(art.path_for("tv.csv"))
     return 0
 
@@ -339,13 +330,12 @@ def _cmd_check_assumptions(rc: RunConfig, art: ArtifactWriter) -> int:
     report = model_mod.check_assumptions(mdl, box=(box[0], box[1]),
                                          sample_count=rc.get_int("check.samples"),
                                          seed=rc.get_int("seed"))
-    lines = ["check,estimate,declared,passed"]
     declared = {"K_b": mdl.K_b, "K_B": mdl.K_B, "K_sigma": mdl.K_sigma}
-    for name, est, const, ok in report.rows():
-        dv = declared.get(const, "")
-        lines.append(f"{name},{est!r},{dv!r},{int(ok)}")
-    lines.append(f"# {report.note}")
-    _write_lines(art.path_for("assumptions.csv"), lines)
+    # an undeclared constant prints as repr("") == "''"
+    rows = [([name], [est], [repr(declared.get(const, ""))], [int(ok)])
+            for name, est, const, ok in report.rows()]
+    write_table(art.path_for("assumptions.csv"), "check,estimate,declared,passed",
+                [*rows, ([f"# {report.note}"],)])
     print("assumption audit:", "pass" if report.all_ok else "VIOLATIONS FOUND")
     return 0
 
@@ -353,7 +343,7 @@ def _cmd_check_assumptions(rc: RunConfig, art: ArtifactWriter) -> int:
 def _cmd_yamada_verify(rc: RunConfig, art: ArtifactWriter) -> int:
     eps_list = rc.get_floats("yamada.epsilon")
     n_list = rc.get_ints("yamada.n_list")
-    lines = ["epsilon,check,max_violation,passed"]
+    rows = []
     for eps in eps_list:
         yw = yamada.make_yamada(eps)
         grid = np.linspace(-2.0, 2.0, 10_001)
@@ -372,8 +362,7 @@ def _cmd_yamada_verify(rc: RunConfig, art: ArtifactWriter) -> int:
         checks["Vpp_bound"] = float(np.max(yw.V_second(sg) * sg - 2.0 * eps))
         off = np.array([lo * 0.5, hi * 2.0])
         checks["Vpp_support"] = float(np.max(yw.V_second(off)))
-        for name, viol in checks.items():
-            lines.append(f"{eps!r},{name},{viol!r},{int(viol <= 1e-8)}")
+        rows += [([eps], [name], [viol], [int(viol <= 1e-8)]) for name, viol in checks.items()]
     # mollification audit on the square-root diffusion
     mdl = model_mod.make_sqrt_model(sigma0=1.0)
     grid = np.linspace(-2.0, 2.0, 2001)
@@ -382,8 +371,8 @@ def _cmd_yamada_verify(rc: RunConfig, art: ArtifactWriter) -> int:
         sn = yamada.mollify_sigma(mdl, n)(0.0, grid)
         gap = float(np.max(np.abs(sn - base)))
         bound = yamada.mollifier_error_bound(mdl.K_sigma, mdl.alpha, n)
-        lines.append(f"n={n},mollify_sup_gap,{gap!r},{int(gap <= bound * (1 + 1e-6))}")
-    _write_lines(art.path_for("yamada_audit.csv"), lines)
+        rows.append(([f"n={n}"], ["mollify_sup_gap"], [gap], [int(gap <= bound * (1 + 1e-6))]))
+    write_table(art.path_for("yamada_audit.csv"), "epsilon,check,max_violation,passed", rows)
     return 0
 
 
@@ -416,7 +405,7 @@ def run(subcommand: str, rc: RunConfig) -> int:
         _write_lines(art.path_for("run_manifest.txt"), rc.manifest_lines(subcommand))
         art.commit()
         return status
-    except Exception:
+    except BaseException:
         art.abort()
         raise
 
@@ -448,22 +437,18 @@ def main(argv=None) -> int:
     if args.epsilon is not None:
         overrides["yamada.epsilon"] = args.epsilon
 
+    # the first matching class decides; setup-level engine complaints
+    # (grid/flow mismatches) and values the library rejects are config errors
+    failures = {ConfigError: ("config error", 2), BlowUpError: ("numerical blow-up", 3),
+                ModelError: ("model error", 3), EngineError: ("config error", 2),
+                ValueError: ("config error", 2)}
     try:
         rc = parse_config(args.config, overrides)
         return run(args.subcommand, rc)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except BlowUpError as e:
-        print(f"numerical blow-up: {e}", file=sys.stderr)
-        return 3
-    except ModelError as e:
-        print(f"model error: {e}", file=sys.stderr)
-        return 3
-    except EngineError as e:
-        # setup-level engine complaints (grid/flow mismatches) are config errors
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+    except tuple(failures) as e:
+        label, code = next(v for cls, v in failures.items() if isinstance(e, cls))
+        print(f"{label}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ from . import rng
 from .measures import EmpiricalMeasure
 from .model import ModelError, ModelSpec
 from .paths import DelayMeasure, Segment, _ratio_as_int
+from .table import write_table
 from .yamada import mollify_sigma
 
 
@@ -316,23 +317,16 @@ class PathRecord:
         return EmpiricalMeasure(self.sorted_values[k], presorted=True)
 
     def write_csv(self, path, form: str = "long") -> None:
-        with open(path, "w") as fh:
-            if form == "long":
-                fh.write("t,particle,value\n")
-                for k, t in enumerate(self.times):
-                    row = self.values[k]
-                    for i in range(self.n):
-                        fh.write(f"{float(t)!r},{i},{float(row[i])!r}\n")
-            elif form == "wide":
-                fh.write("t,q05,q25,q50,q75,q95,mean\n")
-                qs = np.percentile(self.values, [5, 25, 50, 75, 95], axis=1)
-                mns = self.means
-                for k, t in enumerate(self.times):
-                    cells = ",".join(repr(float(v)) for v in
-                                     (qs[0, k], qs[1, k], qs[2, k], qs[3, k], qs[4, k], mns[k]))
-                    fh.write(f"{float(t)!r},{cells}\n")
-            else:
-                raise ValueError(f"unknown record form {form!r}")
+        if form == "long":
+            index = [str(i) for i in range(self.n)]
+            write_table(path, "t,particle,value",
+                        (([repr(t)] * self.n, index, row)
+                         for t, row in zip(self.times.tolist(), self.values)))
+        elif form == "wide":
+            qs = np.percentile(self.values, [5, 25, 50, 75, 95], axis=1)
+            write_table(path, "t,q05,q25,q50,q75,q95,mean", [(self.times, *qs, self.means)])
+        else:
+            raise ValueError(f"unknown record form {form!r}")
 
 
 @dataclass

@@ -20,6 +20,7 @@ from .engine import SimConfig, make_initial_law, simulate_frozen
 from .measures import EmpiricalMeasure, w1_sorted_rows
 from .measures import w1_sorted  # noqa: F401  (perfbench/tracer.py wraps it by this name)
 from .model import ModelSpec
+from .table import write_table
 
 # stream labels for iteration sub-seeds, distinct from the engine streams
 _PICARD = 2
@@ -96,11 +97,10 @@ class MeasureFlow:
         return w1_sorted_rows(rows, np.broadcast_to(self.values[k], (len(rows), self.m)))
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,sample_index,value\n")
-            for k, t in enumerate(self.times):
-                for j in range(self.m):
-                    fh.write(f"{float(t)!r},{j},{float(self.values[k, j])!r}\n")
+        index = [str(j) for j in range(self.m)]
+        write_table(path, "t,sample_index,value",
+                    (([repr(t)] * self.m, index, row)
+                     for t, row in zip(self.times.tolist(), self.values)))
 
 
 def rho_metric(a: MeasureFlow, b: MeasureFlow, lam: float) -> float:
@@ -144,10 +144,7 @@ class FixedPointResult:
         self.iterations = len(self.rhos)
 
     def write_diagnostics_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("iter,rho\n")
-            for i, r in enumerate(self.rhos):
-                fh.write(f"{i},{r!r}\n")
+        write_table(path, "iter,rho", [(range(len(self.rhos)), self.rhos)])
 
 
 def solve_fixed_point(config: SimConfig, model: ModelSpec, initial_law, M: int,

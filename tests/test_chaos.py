@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfchaos import chaos, engine, rng
 from mfchaos.chaos import (RunDiagnostics, _one_coupled_run, build_reference_flow,
@@ -50,6 +52,18 @@ class TestFitLoglog:
         assert slope == pytest.approx(-0.5, abs=1e-12)
         assert intercept == pytest.approx(np.log(3.0), abs=1e-12)
         assert stderr == pytest.approx(0.0, abs=1e-12)
+
+    # sizes span at least a factor of two, as a sweep's N_list does
+    @settings(max_examples=300, deadline=None)
+    @given(xs=st.lists(st.integers(1, 1 << 16), min_size=3, max_size=12, unique=True)
+           .filter(lambda v: max(v) >= 2 * min(v)),
+           s=st.floats(-2.0, 2.0), log_c=st.floats(-5.0, 5.0))
+    def test_exact_power_laws_recovered(self, xs, s, log_c):
+        xs = np.array(xs, dtype=float)
+        slope, intercept, stderr = fit_loglog(xs, np.exp(log_c) * xs ** s)
+        assert abs(slope - s) <= 1e-12
+        assert abs(intercept - log_c) <= 1e-12
+        assert stderr < 1e-9
 
     def test_constant_values(self):
         xs = np.array([1.0, 2.0, 4.0, 8.0])

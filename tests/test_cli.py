@@ -1,4 +1,5 @@
 import os
+import stat
 
 import pytest
 
@@ -7,6 +8,25 @@ from mfchaos.cli import ConfigError, main, parse_config
 
 def run_cli(*args):
     return main(list(args))
+
+
+TINY = ("--set", "sim.T=0.1", "--set", "sim.dt=0.01", "--set", "sim.N=8",
+        "--set", "chaos.N_list=8,16,32", "--set", "chaos.M=64", "--set", "solve.M=64")
+
+# input the library itself rejects with ValueError, past the config parser
+BAD_INPUT = {
+    "one-replica": ("chaos-rate", "--set", "chaos.replicas=1"),
+    "decreasing-N_list": ("chaos-rate", "--set", "chaos.N_list=32,16,8"),
+    "one-path": ("solve", "--set", "solve.M=1"),
+    "negative-lambda": ("solve", "--set", "solve.lambda=-1"),
+    "unknown-record-form": ("simulate", "--set", "record.form=bogus"),
+    "reversed-box": ("check-assumptions", "--set", "check.box=3,-3"),
+    "epsilon-below-floor": ("yamada-verify", "--epsilon", "0.001"),
+}
+
+BLOWUP = ("simulate", "--set", "model.name=linear", "--set", "model.a=80.0",
+          "--set", "model.c=0.0", "--set", "sim.dt=0.25", "--set", "sim.T=200.0",
+          "--set", "sim.N=2", "--set", "init.name=constant", "--set", "init.value=1e30")
 
 
 class TestConfigParsing:
@@ -78,6 +98,15 @@ class TestExitCodes:
         # non-convergence still publishes its diagnostics (that IS the report)
         assert (tmp_path / "diagnostics.csv").exists()
 
+    @pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=list(BAD_INPUT))
+    def test_rejected_input_is_two(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert run_cli(argv[0], *TINY, *argv[1:], "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([ln for ln in err.splitlines() if ln.startswith("config error:")]) == 1
+        assert not any(os.scandir(out))   # nothing published, nothing staged
+
 
 class TestArtifacts:
     def test_yamada_verify_writes_audit(self, tmp_path):
@@ -106,6 +135,22 @@ class TestArtifacts:
                        "--set", "init.value=1e30")
         assert code == 3
         assert not any(os.scandir(out))   # nothing published, nothing staged
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_published_mode_follows_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            assert run_cli("solve", *TINY, "--set", "solve.tol=0.5", "--out", str(tmp_path)) == 0
+            published = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+            # a failing run into the same directory leaves it exactly as it was
+            assert run_cli(*BLOWUP, "--out", str(tmp_path)) == 3
+        finally:
+            os.umask(old)
+        assert sorted(published) == ["diagnostics.csv", "flow.csv", "run_manifest.txt"]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == published
+        for name in published:
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o666 & ~umask
 
     def test_chaos_rate_outputs(self, tmp_path):
         code = run_cli("chaos-rate", "--out", str(tmp_path), "--seed", "9",

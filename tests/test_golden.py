@@ -7,8 +7,11 @@ stepping path (interacting, coupled, by hand, Picard) on the linear,
 `sqrt` and path-dependent `delay` models, of the stability gap on those
 three models, and of the CSV bytes of small rate, coupling and marginal TV
 sweeps, the rate sweeps going through both the nested W1 path (sample
-counts dividing the reference size) and the general one. A change that
-alters any digest on purpose must say why in CHANGES.md.
+counts dividing the reference size) and the general one. Every other CSV
+artifact is pinned as well: long and wide `record.csv`, the Picard
+`flow.csv` and `diagnostics.csv`, `summary.csv`, and the CLI's
+`assumptions.csv` and `yamada_audit.csv`. A change that alters any digest
+on purpose must say why in CHANGES.md.
 """
 
 import hashlib
@@ -17,7 +20,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mfchaos import rng
+from mfchaos import cli, rng
 from mfchaos.chaos import (build_reference_flow, coupling_error_curve, estimate_chaos_rate,
                            marginal_tv_study, stability_perturbation_test)
 from mfchaos.engine import (GaussianLaw, ParticleEnsemble, SimConfig, simulate_coupled,
@@ -80,6 +83,26 @@ GOLDEN = {
         "3c00d8c223dc953326ba2727e3de5b72f4ae5b91f911acc6e815ba00418eb4f3",
     "delay.tv.csv":
         "aedb10d6377986b92adf3e648329e6e3a027227995afb908422adb5e8f8462ba",
+    "nested.summary.csv":
+        "e5b05b982ea9b6129f922f4750ee032da82bf72bb0ef52c024130b82d506966a",
+    "non_nested.summary.csv":
+        "76d9639f9999f3ea07d95705e676b9a0c9c2f55f702558929adf9da889eb6083",
+    "linear.long.record.csv":
+        "e0b99f00b282bf5d14b52df60490dac0b7b559720ed2bf2159b337f5eb647a1d",
+    "linear.wide.record.csv":
+        "519319ff41095271ee95971ef8c84adea0bdc88ba3000624ede78a9848018eb6",
+    "delay.long.record.csv":
+        "8aecd57335c208c79410baabc94bcbc067b53b5ca5dadfb25eb7c2c86193faab",
+    "delay.wide.record.csv":
+        "f50686b5be33f8f589f42e21ac66969ede21d0a152864c10233fcbf9a005553a",
+    "solve.flow.csv":
+        "4014352965a0a4287c5ef91f3ff8c1b9823c94042c798a8608eab0dfe31f6237",
+    "solve.diagnostics.csv":
+        "f14cce24522bf84cc884fcd4d0b133f90ec8b960467a419427190585d31870b8",
+    "assumptions.csv":
+        "29e7f49fd2ea6f49211f4e4f14c0ba27e9497613bdd5ba9b046e2576983b75cf",
+    "yamada_audit.csv":
+        "101459e2f2135cc170fe24ac5ae6cffcd6de53c62557d4e91d8a55490865e48f",
 }
 
 
@@ -111,8 +134,10 @@ def test_rate_sweep_csv(reference, tmp_path, label, N_list):
     rep = estimate_chaos_rate(CFG, mdl, N_list, 2, ref)
     rep.write_csv(tmp_path / "rate.csv")
     rep.write_runs_csv(tmp_path / "runs.csv")
+    rep.write_summary_csv(tmp_path / "summary.csv")
     assert sha((tmp_path / "rate.csv").read_bytes()) == GOLDEN[f"{label}.rate.csv"]
     assert sha((tmp_path / "runs.csv").read_bytes()) == GOLDEN[f"{label}.runs.csv"]
+    assert sha((tmp_path / "summary.csv").read_bytes()) == GOLDEN[f"{label}.summary.csv"]
 
 
 def delay_model():
@@ -152,13 +177,17 @@ def test_step_interacting_by_hand():
     assert sha(np.array(states).tobytes()) == GOLDEN["step_interacting"]
 
 
-def test_picard_solve():
+def test_picard_solve(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # tol sits below the noise floor at M=64
         res = solve_fixed_point(CFG, make_linear_model(), GaussianLaw(1.0, 0.5), M=64,
                                 max_iter=3)
     assert sha(res.flow.values.tobytes()) == GOLDEN["solve.flow"]
     assert sha(np.array(res.rhos + [res.noise_floor]).tobytes()) == GOLDEN["solve.rhos"]
+    res.flow.write_csv(tmp_path / "flow.csv")
+    res.write_diagnostics_csv(tmp_path / "diagnostics.csv")
+    assert sha((tmp_path / "flow.csv").read_bytes()) == GOLDEN["solve.flow.csv"]
+    assert sha((tmp_path / "diagnostics.csv").read_bytes()) == GOLDEN["solve.diagnostics.csv"]
 
 
 def test_coupling_sweep_csv(reference, tmp_path):
@@ -192,3 +221,22 @@ def test_delay_tv_study_csv(tmp_path):
     rep = marginal_tv_study(DELAY_CFG, mdl, ref, [16, 32, 64], 3, [0.06, 0.2])
     rep.write_csv(tmp_path / "tv.csv")
     assert sha((tmp_path / "tv.csv").read_bytes()) == GOLDEN["delay.tv.csv"]
+
+
+@pytest.mark.parametrize("form", ["long", "wide"])
+@pytest.mark.parametrize("label", ["linear", "delay"])
+def test_record_csv(tmp_path, label, form):
+    mdl, cfg = {"linear": (make_linear_model(), CFG), "delay": (delay_model(), DELAY_CFG)}[label]
+    rec = simulate_interacting(cfg, mdl, GaussianLaw(1.0, 0.5))
+    rec.write_csv(tmp_path / "record.csv", form=form)
+    assert sha((tmp_path / "record.csv").read_bytes()) == GOLDEN[f"{label}.{form}.record.csv"]
+
+
+@pytest.mark.parametrize("name,argv", [
+    # the linear model's audit holds a `nan` estimate and an empty declared cell
+    ("assumptions.csv", ["check-assumptions", "--set", "check.samples=2000"]),
+    ("yamada_audit.csv", ["yamada-verify", "--epsilon", "0.1", "--set", "yamada.n_list=4,16"]),
+])
+def test_cli_audit_csv(tmp_path, name, argv):
+    assert cli.main([*argv, "--seed", str(SEED), "--out", str(tmp_path)]) == 0
+    assert sha((tmp_path / name).read_bytes()) == GOLDEN[name]

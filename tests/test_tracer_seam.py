@@ -3,7 +3,8 @@
 perfbench/tracer.py patches the program's layer entry points by name and
 reads some of their positional arguments. This runs its `install` and a
 tiny `chaos-rate` sweep or `tv-study` in a fresh process and checks the
-work counts it derives from the spans. No time is measured or bounded.
+work counts it derives from the spans, and that each artifact is written
+under exactly one `cli.write` span. No time is measured or bounded.
 """
 
 import json
@@ -89,3 +90,40 @@ def test_traced_tiny_tv_study_counts_its_steps(tmp_path):
 def test_two_worker_sweeps_never_split_particles(tmp_path, command, extra):
     m = _traced(tmp_path, command, "--set", "sim.workers=2", *extra)
     assert m["engine.pool_dispatches"] == 0
+
+
+SPANS = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from tracer import Recorder, install
+rec = Recorder("seam")
+install(rec)
+from mfchaos import cli
+status = cli.main(sys.argv[3:])
+print(json.dumps({"status": status, "spans": [[s[0], s[1], s[4]] for s in rec.spans]}))
+"""
+
+
+def test_traced_sweep_writes_each_artifact_once(tmp_path):
+    args = ["chaos-rate", "--out", str(tmp_path / "out"),
+            "--set", "chaos.N_list=" + ",".join(map(str, TINY["N_list"])),
+            "--set", f"chaos.replicas={TINY['replicas']}", "--set", f"chaos.M={TINY['M']}",
+            "--set", "sim.T=0.1", "--set", "sim.dt=0.01"]
+    proc = subprocess.run(
+        [sys.executable, "-c", SPANS, os.path.join(ROOT, "perfbench"),
+         os.path.join(ROOT, "src"), *args],
+        capture_output=True, text=True, timeout=600, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["status"] == 0
+    name = {sid: n for sid, n, _ in out["spans"]}
+    parent_of = {sid: parent for sid, _, parent in out["spans"]}
+
+    def ancestors(sid):
+        while (sid := parent_of[sid]) is not None:
+            yield name[sid]
+
+    writes = [sid for sid, n, _ in out["spans"] if n == "cli.write"]
+    # rate.csv, summary.csv, runs.csv and run_manifest.txt, none inside another
+    assert len(writes) == 4
+    assert all("cli.write" not in ancestors(sid) for sid in writes)
