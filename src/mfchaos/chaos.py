@@ -89,10 +89,9 @@ def build_reference_flow(config: SimConfig, model: ModelSpec, initial_law, M: in
 
     For the zoo models the frozen dynamics at the mean flow coincide with
     the mean-field limit of the scheme, so this is an M-sample draw of the
-    limit law at every grid time. It steps with one worker (see `_per_n`).
+    limit law at every grid time.
     """
     seed = rng.derive_seed(config.seed, _REF_STREAM) if seed is None else seed
-    config = replace(config, workers=1)
     mean_flow = oracle_mean_flow(config, model, initial_law)
     rec = simulate_frozen(config, model, mean_flow, M, seed)
     out = MeasureFlow.from_record(rec, tag=f"reference-M{M}", initial_law=mean_flow.initial_law)
@@ -170,7 +169,7 @@ def _one_coupled_run(config: SimConfig, model: ModelSpec, reference: MeasureFlow
 
 def _per_n(task, sizes, workers: int) -> list:
     """task(N) for each N in sizes, in that order; with workers > 1 on one
-    thread pool, largest N first. Tasks must step with one worker."""
+    thread pool, largest N first."""
     if workers <= 1:
         return [task(N) for N in sizes]
     order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
@@ -181,8 +180,7 @@ def _per_n(task, sizes, workers: int) -> list:
 
 def _coupled_sweep(config: SimConfig, model: ModelSpec, reference: MeasureFlow,
                    N_list, replicas: int, workers: int = 1) -> list[RunDiagnostics]:
-    one = replace(config, workers=1)
-    per_n = _per_n(lambda N: _one_coupled_run(one, model, reference, N, replicas, config.seed),
+    per_n = _per_n(lambda N: _one_coupled_run(config, model, reference, N, replicas, config.seed),
                    [int(N) for N in N_list], workers)
     return [d for runs in per_n for d in runs]
 
@@ -283,7 +281,7 @@ def marginal_tv_study(config_base: SimConfig, model: ModelSpec, reference: Measu
 
     def run_pool(N: int) -> dict[int, np.ndarray]:
         seeds = [rng.derive_seed(config_base.seed, N, rep) for rep in range(replicas)]
-        cfg = replace(config_base, N=N, workers=1)
+        cfg = replace(config_base, N=N)
         ens = ParticleEnsemble.from_law(cfg, reference.initial_law, seed=seeds)
         pools = {}
 

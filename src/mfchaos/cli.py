@@ -6,7 +6,8 @@ override file values. Every run writes a manifest echoing the resolved
 configuration plus seed and library versions, which is enough to
 reproduce the run byte for byte. Artifacts are staged in one hidden
 directory inside the output directory and renamed into place (mode
-`0o666 & ~umask`) only on success; a failing run removes that directory.
+`0o666 & ~umask`) only on success, the manifest last; a failing run
+removes that directory.
 
 Exit codes: 0 success, 2 configuration error (bad input, a `ValueError`
 included, as one `config error:` line), 3 numerical blow-up, 4 non-convergence.
@@ -139,12 +140,14 @@ class RunConfig:
                 raise ConfigError(
                     f"key 'model.alpha': {alpha!r} outside the admissible "
                     f"Hoelder range [1/2, 1]")
+        workers = self.get_int("sim.workers")
+        if workers < 1:
+            raise ConfigError(f"key 'sim.workers': must be >= 1, got {workers!r}")
         try:
             return SimConfig(
                 T=self.get_float("sim.T"), dt=self.get_float("sim.dt"),
                 N=self.get_int("sim.N"), seed=self.get_int("seed"),
                 r=self.get_float("sim.r"),
-                workers=self.get_int("sim.workers"),
             )
         except ValueError as e:
             msg = str(e)
@@ -213,6 +216,9 @@ class RunConfig:
         return lines
 
 
+_MANIFEST = "run_manifest.txt"
+
+
 class ArtifactWriter:
     """Stage files in one hidden directory inside `out_dir`, publish them on success."""
 
@@ -225,7 +231,14 @@ class ArtifactWriter:
         return os.path.join(self.staging, name)
 
     def commit(self) -> None:
-        for name in os.listdir(self.staging):
+        """Rename the staged files into place, the manifest last, after
+        removing the old one: a directory holding a manifest holds one
+        complete run, even if a rename fails part way."""
+        try:
+            os.remove(os.path.join(self.out_dir, _MANIFEST))
+        except FileNotFoundError:
+            pass
+        for name in sorted(os.listdir(self.staging), key=lambda n: n == _MANIFEST):
             os.replace(os.path.join(self.staging, name), os.path.join(self.out_dir, name))
         os.rmdir(self.staging)
 
@@ -261,9 +274,13 @@ def _sim_and_model(rc: RunConfig):
 
 
 def _cmd_simulate(rc: RunConfig, art: ArtifactWriter) -> int:
+    form = rc.raw("record.form")
+    if form not in engine.RECORD_FORMS:
+        raise ConfigError(f"key 'record.form': unknown record form {form!r} "
+                          f"(available: {list(engine.RECORD_FORMS)})")
     cfg, mdl = _sim_and_model(rc)
     rec = engine.simulate_interacting(cfg, mdl, rc.initial_law())
-    rec.write_csv(art.path_for("record.csv"), form=rc.raw("record.form"))
+    rec.write_csv(art.path_for("record.csv"), form=form)
     return 0
 
 
@@ -294,7 +311,7 @@ def _cmd_chaos_rate(rc: RunConfig, art: ArtifactWriter) -> int:
     ref = _reference(rc, cfg, mdl)
     report = chaos.estimate_chaos_rate(cfg, mdl, rc.get_ints("chaos.N_list"),
                                        rc.get_int("chaos.replicas"), ref,
-                                       workers=cfg.workers)
+                                       workers=rc.get_int("sim.workers"))
     report.write_csv(art.path_for("rate.csv"))
     report.write_summary_csv(art.path_for("summary.csv"))
     report.write_runs_csv(art.path_for("runs.csv"))
@@ -305,7 +322,8 @@ def _cmd_coupling(rc: RunConfig, art: ArtifactWriter) -> int:
     cfg, mdl = _sim_and_model(rc)
     ref = _reference(rc, cfg, mdl)
     rep = chaos.coupling_error_curve(cfg, mdl, ref, rc.get_ints("chaos.N_list"),
-                                     rc.get_int("chaos.replicas"), workers=cfg.workers)
+                                     rc.get_int("chaos.replicas"),
+                                     workers=rc.get_int("sim.workers"))
     rep.write_csv(art.path_for("coupling.csv"))
     return 0
 
@@ -317,7 +335,7 @@ def _cmd_tv_study(rc: RunConfig, art: ArtifactWriter) -> int:
     rep = chaos.marginal_tv_study(cfg, mdl, ref, rc.get_ints("chaos.N_list"),
                                   rc.get_int("chaos.replicas"),
                                   rc.get_floats("chaos.times"), bin_width=bw,
-                                  workers=cfg.workers)
+                                  workers=rc.get_int("sim.workers"))
     rep.write_csv(art.path_for("tv.csv"))
     return 0
 
@@ -402,7 +420,7 @@ def run(subcommand: str, rc: RunConfig) -> int:
     art = ArtifactWriter(rc.raw("out"))
     try:
         status = _SUBCOMMANDS[subcommand](rc, art)
-        _write_lines(art.path_for("run_manifest.txt"), rc.manifest_lines(subcommand))
+        _write_lines(art.path_for(_MANIFEST), rc.manifest_lines(subcommand))
         art.commit()
         return status
     except BaseException:

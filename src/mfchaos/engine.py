@@ -3,10 +3,10 @@
 All simulators share one noise contract: the Brownian increment of
 particle i at step k is a pure function of (seed, stream id of i, k),
 regenerated from a counter-based generator. Consequences: records are
-bit-identical across runs and across any particle-chunking degree, two
-systems stepped against the same seed share their noise exactly (which is
-how the synchronous coupling works), and permuting particles together
-with their stream ids permutes trajectories exactly.
+bit-identical across runs, two systems stepped against the same seed
+share their noise exactly (which is how the synchronous coupling works),
+and permuting particles together with their stream ids permutes
+trajectories exactly.
 
 The empirical measure a step sees is built once from the full state
 before any particle moves, so no particle ever observes a partially
@@ -24,7 +24,6 @@ changes a bit.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -58,7 +57,6 @@ class SimConfig:
     N: int
     seed: int
     r: float = 0.0
-    workers: int = 1
 
     def __post_init__(self):
         if not (self.dt > 0 and np.isfinite(self.dt)):
@@ -69,8 +67,6 @@ class SimConfig:
             raise ValueError(f"N must be >= 1, got {self.N!r}")
         if self.r < 0:
             raise ValueError(f"delay r must be >= 0, got {self.r!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers!r}")
         _ratio_as_int(self.T, self.dt, "horizon")
         if self.r > 0:
             _ratio_as_int(self.r, self.dt, "delay")
@@ -214,10 +210,6 @@ class SegmentBatch:
             out += w * self.value_at(float(s))
         return out
 
-    def particles(self, sl: slice) -> "SegmentBatch":
-        """Particles sl of every system."""
-        return SegmentBatch(self._buf[..., sl, :], self._head, self.r, self.h)
-
     def segment(self, i: int) -> Segment:
         if self._head == 0:
             vals = self._buf[i].copy()
@@ -292,6 +284,8 @@ class ParticleEnsemble:
 # ---------------------------------------------------------------------------
 # records
 
+RECORD_FORMS = ("long", "wide")   # PathRecord.write_csv layouts
+
 
 @dataclass
 class PathRecord:
@@ -317,16 +311,16 @@ class PathRecord:
         return EmpiricalMeasure(self.sorted_values[k], presorted=True)
 
     def write_csv(self, path, form: str = "long") -> None:
+        if form not in RECORD_FORMS:
+            raise ValueError(f"unknown record form {form!r}")
         if form == "long":
             index = [str(i) for i in range(self.n)]
             write_table(path, "t,particle,value",
                         (([repr(t)] * self.n, index, row)
                          for t, row in zip(self.times.tolist(), self.values)))
-        elif form == "wide":
+        else:
             qs = np.percentile(self.values, [5, 25, 50, 75, 95], axis=1)
             write_table(path, "t,q05,q25,q50,q75,q95,mean", [(self.times, *qs, self.means)])
-        else:
-            raise ValueError(f"unknown record form {form!r}")
 
 
 @dataclass
@@ -358,6 +352,7 @@ def _snap_measure(model: ModelSpec, config: SimConfig) -> ModelSpec:
     return model
 
 
+# perfbench/tracer.py wraps it by this name; nothing here calls it
 def _chunked(n: int, workers: int):
     """Split an index range into per-worker chunks; results concatenate in
     index order so the chunking degree cannot change the output."""
@@ -368,20 +363,12 @@ def _chunked(n: int, workers: int):
 
 
 def _eval_coeffs(model: ModelSpec, t: float, x: np.ndarray, batch: SegmentBatch,
-                 mu: EmpiricalMeasure, workers: int, pool) -> tuple[np.ndarray, np.ndarray]:
-    def one(sl: slice):
-        xs = x[..., sl]
-        drift = (np.asarray(model.drift(t, xs, mu), dtype=float)
-                 + np.asarray(model.path_drift(t, batch.particles(sl), mu), dtype=float))
-        sig = np.asarray(model.sigma(t, xs), dtype=float)
-        return np.broadcast_to(drift, xs.shape), np.broadcast_to(sig, xs.shape)
-
-    slices = _chunked(x.shape[-1], workers)
-    if len(slices) == 1:
-        return one(slices[0])
-    parts = list(pool.map(one, slices))
-    return (np.concatenate([p[0] for p in parts], axis=-1),
-            np.concatenate([p[1] for p in parts], axis=-1))
+                 mu: EmpiricalMeasure) -> tuple[np.ndarray, np.ndarray]:
+    drift = (np.asarray(model.drift(t, x, mu), dtype=float)
+             + np.asarray(model.path_drift(t, batch, mu), dtype=float))
+    sig = np.asarray(model.sigma(t, x), dtype=float)
+    # full shape, because _check_advanced indexes them at a particle
+    return np.broadcast_to(drift, x.shape), np.broadcast_to(sig, x.shape)
 
 
 # states beyond this are treated as having already blown up, even if the
@@ -443,33 +430,27 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
     if record:
         out = np.empty((config.steps + 1,) + ensemble.current.shape)
         out[0] = ensemble.current
-    pool = ThreadPoolExecutor(config.workers) if config.workers > 1 else None
-    try:
-        for k in range(k0, k0 + config.steps):
-            t = k * dt
-            x = ensemble.current
-            xs = None
-            if observe is not None:
-                xs = np.sort(x, axis=-1)
-                observe(k, x, xs)
-            z = _increments(seeds, k, ids, n_streams)
-            new = np.empty_like(x)
-            for rows, flow in groups:
-                if flow is not None:
-                    mu = flow.measure_at(k)
-                else:
-                    own = xs[rows] if xs is not None else np.sort(x[rows], axis=-1)
-                    mu = EmpiricalMeasure(own, presorted=True, stacked=stacked)
-                drift, sig = _eval_coeffs(model, t, x[rows], ensemble.batch(rows), mu,
-                                          config.workers, pool)
-                new[rows] = x[rows] + drift * dt + sig * sqdt * z[rows]
-                _check_advanced(x[rows], drift, sig, new[rows], k, t)
-            ensemble.advance(new)
-            if record:
-                out[k - k0 + 1] = new
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    for k in range(k0, k0 + config.steps):
+        t = k * dt
+        x = ensemble.current
+        xs = None
+        if observe is not None:
+            xs = np.sort(x, axis=-1)
+            observe(k, x, xs)
+        z = _increments(seeds, k, ids, n_streams)
+        new = np.empty_like(x)
+        for rows, flow in groups:
+            if flow is not None:
+                mu = flow.measure_at(k)
+            else:
+                own = xs[rows] if xs is not None else np.sort(x[rows], axis=-1)
+                mu = EmpiricalMeasure(own, presorted=True, stacked=stacked)
+            drift, sig = _eval_coeffs(model, t, x[rows], ensemble.batch(rows), mu)
+            new[rows] = x[rows] + drift * dt + sig * sqdt * z[rows]
+            _check_advanced(x[rows], drift, sig, new[rows], k, t)
+        ensemble.advance(new)
+        if record:
+            out[k - k0 + 1] = new
     if observe is not None:
         x = ensemble.current
         observe(k0 + config.steps, x, np.sort(x, axis=-1))

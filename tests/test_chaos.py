@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfchaos import chaos, engine, rng
+from mfchaos import chaos, rng
 from mfchaos.chaos import (RunDiagnostics, _one_coupled_run, build_reference_flow,
                            coupling_error_curve, estimate_chaos_rate, fit_loglog,
                            marginal_tv_study, oracle_mean_flow,
@@ -238,25 +238,6 @@ class TestPerNDispatch:
         assert [d.N for d in two.runs] == [64, 64, 16, 16, 64, 64]
         assert repr(two.runs) == repr(one.runs)
         assert two.error_mean.tobytes() == one.error_mean.tobytes()
-
-    def test_sweep_tasks_never_split_particles(self, linear_setup, monkeypatch):
-        chunked = engine._chunked
-        slices = []
-
-        def spy(n, workers):
-            out = chunked(n, workers)
-            slices.append(len(out))
-            return out
-
-        monkeypatch.setattr(engine, "_chunked", spy)
-        mdl, ref = linear_setup
-        cfg = replace(CFG, workers=2)
-        simulate_interacting(cfg, mdl, GAUSS)   # outside a sweep the chunk pool still runs
-        assert max(slices) == 2
-        slices.clear()
-        estimate_chaos_rate(cfg, mdl, N_SMALL, 2, ref, workers=2)
-        marginal_tv_study(cfg, mdl, ref, N_SMALL, 2, [0.5], workers=2)
-        assert slices and max(slices) == 1
 
 
 class TestCouplingCurve:

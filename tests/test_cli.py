@@ -1,8 +1,11 @@
 import os
+import re
 import stat
+from pathlib import Path
 
 import pytest
 
+from mfchaos import cli, engine
 from mfchaos.cli import ConfigError, main, parse_config
 
 
@@ -22,6 +25,10 @@ BAD_INPUT = {
     "unknown-record-form": ("simulate", "--set", "record.form=bogus"),
     "reversed-box": ("check-assumptions", "--set", "check.box=3,-3"),
     "epsilon-below-floor": ("yamada-verify", "--epsilon", "0.001"),
+    "simulate-zero-workers": ("simulate", "--set", "sim.workers=0"),
+    "simulate-negative-workers": ("simulate", "--set", "sim.workers=-1"),
+    "chaos-rate-zero-workers": ("chaos-rate", "--set", "sim.workers=0"),
+    "chaos-rate-negative-workers": ("chaos-rate", "--set", "sim.workers=-1"),
 }
 
 BLOWUP = ("simulate", "--set", "model.name=linear", "--set", "model.a=80.0",
@@ -71,6 +78,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="sim.N"):
             rc.sim_config()
 
+    def test_readme_defaults_block_matches(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("Config keys and defaults", 1)[1].split("```")[1]
+        pairs = [re.match(r"\s*([\w.]+)\s*=\s*(\S+)", ln.split("#", 1)[0])
+                 for ln in block.splitlines() if ln.strip()]
+        assert pairs and all(pairs)
+        assert {m[1]: m[2] for m in pairs} == {m[1]: cli._DEFAULTS[m[1]] for m in pairs}
+
 
 class TestExitCodes:
     def test_config_error_is_two(self, tmp_path):
@@ -106,6 +121,13 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert len([ln for ln in err.splitlines() if ln.startswith("config error:")]) == 1
         assert not any(os.scandir(out))   # nothing published, nothing staged
+
+    def test_bad_record_form_is_rejected_before_stepping(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(engine, "simulate_interacting", lambda *a, **k: calls.append(a))
+        code = run_cli("simulate", *TINY, "--set", "record.form=bogus", "--out", str(tmp_path))
+        assert code == 2
+        assert calls == []
 
 
 class TestArtifacts:
@@ -151,6 +173,30 @@ class TestArtifacts:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == published
         for name in published:
             assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o666 & ~umask
+
+    def test_failed_publish_never_leaves_a_stale_manifest(self, tmp_path, monkeypatch):
+        fresh, out = tmp_path / "fresh", tmp_path / "out"
+        solve = ("solve", *TINY, "--set", "solve.tol=0.5")
+        assert run_cli(*solve, "--seed", "1", "--out", str(out)) == 0
+        assert run_cli(*solve, "--seed", "2", "--out", str(fresh)) == 0
+        replace, calls = os.replace, []
+
+        def second_fails(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", second_fails)
+        with pytest.raises(OSError, match="disk full"):
+            run_cli(*solve, "--seed", "2", "--out", str(out))
+        monkeypatch.undo()
+        left = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert not any(name.startswith(".staging.") for name in left)
+        if "run_manifest.txt" in left:   # a manifest vouches for every file beside it
+            assert "seed = 2" in left.pop("run_manifest.txt").decode().splitlines()
+            assert left == {p.name: p.read_bytes() for p in fresh.iterdir()
+                            if p.name != "run_manifest.txt"}
 
     def test_chaos_rate_outputs(self, tmp_path):
         code = run_cli("chaos-rate", "--out", str(tmp_path), "--seed", "9",

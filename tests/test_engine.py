@@ -128,13 +128,6 @@ class TestInteracting:
         b = simulate_interacting(cfg, mdl, GAUSS)
         assert np.array_equal(a.values, b.values)
 
-    def test_worker_count_does_not_change_bits(self):
-        mdl = make_delay_model(beta=0.5, r=0.2, sigma0=0.3)
-        base = SimConfig(T=0.5, dt=0.01, N=97, seed=3, r=0.2)
-        a = simulate_interacting(base, mdl, GAUSS)
-        b = simulate_interacting(replace(base, workers=3), mdl, GAUSS)
-        assert np.array_equal(a.values, b.values)
-
     def test_exchangeability(self):
         cfg = SimConfig(T=0.3, dt=0.01, N=32, seed=5)
         mdl = make_linear_model()
