@@ -6,8 +6,9 @@ override file values. Every run writes a manifest echoing the resolved
 configuration plus seed and library versions, which is enough to
 reproduce the run byte for byte. Artifacts are staged in one hidden
 directory inside the output directory and renamed into place (mode
-`0o666 & ~umask`) only on success, the manifest last; a failing run
-removes that directory.
+`0o666 & ~umask`) only on success, the manifest last, and any other
+subcommand's artifact left there by an earlier run is removed; a failing
+run removes that directory and leaves the rest as it was.
 
 Exit codes: 0 success, 2 configuration error (bad input, a `ValueError`
 included, as one `config error:` line), 3 numerical blow-up, 4 non-convergence.
@@ -217,6 +218,10 @@ class RunConfig:
 
 
 _MANIFEST = "run_manifest.txt"
+# every file a subcommand may publish besides the manifest; a run removes
+# those of them it did not write, so no earlier run's file outlives it
+_ARTIFACTS = ("record.csv", "flow.csv", "diagnostics.csv", "rate.csv", "summary.csv",
+              "runs.csv", "coupling.csv", "tv.csv", "assumptions.csv", "yamada_audit.csv")
 
 
 class ArtifactWriter:
@@ -228,17 +233,22 @@ class ArtifactWriter:
         self.staging = tempfile.mkdtemp(prefix=".staging.", dir=out_dir)
 
     def path_for(self, name: str) -> str:
+        if name not in _ARTIFACTS and name != _MANIFEST:
+            raise KeyError(f"{name!r} is not in cli._ARTIFACTS")
         return os.path.join(self.staging, name)
 
     def commit(self) -> None:
         """Rename the staged files into place, the manifest last, after
-        removing the old one: a directory holding a manifest holds one
-        complete run, even if a rename fails part way."""
-        try:
-            os.remove(os.path.join(self.out_dir, _MANIFEST))
-        except FileNotFoundError:
-            pass
-        for name in sorted(os.listdir(self.staging), key=lambda n: n == _MANIFEST):
+        removing the old one and every known artifact this run did not
+        write: a directory holding a manifest holds one complete run and
+        nothing else of ours, even if a rename fails part way."""
+        staged = os.listdir(self.staging)
+        for name in (_MANIFEST, *(a for a in _ARTIFACTS if a not in staged)):
+            try:
+                os.remove(os.path.join(self.out_dir, name))
+            except FileNotFoundError:
+                pass
+        for name in sorted(staged, key=lambda n: n == _MANIFEST):
             os.replace(os.path.join(self.staging, name), os.path.join(self.out_dir, name))
         os.rmdir(self.staging)
 
@@ -279,8 +289,14 @@ def _cmd_simulate(rc: RunConfig, art: ArtifactWriter) -> int:
         raise ConfigError(f"key 'record.form': unknown record form {form!r} "
                           f"(available: {list(engine.RECORD_FORMS)})")
     cfg, mdl = _sim_and_model(rc)
-    rec = engine.simulate_interacting(cfg, mdl, rc.initial_law())
-    rec.write_csv(art.path_for("record.csv"), form=form)
+    path = art.path_for("record.csv")
+    if form == "long":
+        engine.simulate_interacting(cfg, mdl, rc.initial_law()).write_csv(path, form=form)
+    else:   # summarized as it steps, so no trajectory is kept
+        summary = engine.WideSummary(cfg.times)
+        engine.simulate_interacting(cfg, mdl, rc.initial_law(), observe=summary.observe,
+                                    record=False)
+        summary.write_csv(path)
     return 0
 
 

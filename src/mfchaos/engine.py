@@ -243,9 +243,12 @@ class ParticleEnsemble:
         self.head = 0
         self.step_index = 0
         n = init_values.shape[-2]
-        self.stream_ids = np.arange(n) if stream_ids is None else np.asarray(stream_ids, int)
-        if len(self.stream_ids) != n or len(np.unique(self.stream_ids)) != n:
-            raise ValueError("stream ids must be a permutation-compatible unique labelling")
+        if stream_ids is None:
+            self.stream_ids = np.arange(n)
+        else:
+            self.stream_ids = np.asarray(stream_ids, int)
+            if len(self.stream_ids) != n or len(np.unique(self.stream_ids)) != n:
+                raise ValueError("stream ids must be a permutation-compatible unique labelling")
 
     @property
     def n(self) -> int:
@@ -273,11 +276,11 @@ class ParticleEnsemble:
         n = config.N if n is None else n
         seed = config.seed if seed is None else seed
         law = make_initial_law(initial_law) if isinstance(initial_law, str) else initial_law
-        ids = np.arange(n) if stream_ids is None else np.asarray(stream_ids, int)
-        size = int(ids.max()) + 1
+        ids = None if stream_ids is None else np.asarray(stream_ids, int)
+        size, pick = (n, slice(None)) if ids is None else (int(ids.max()) + 1, ids)
         if np.ndim(seed) == 0:
-            return cls(config.r, config.dt, law.sample(seed, size)[ids], stream_ids=ids)
-        rows = np.array([law.sample(s, size)[ids] for s in seed])
+            return cls(config.r, config.dt, law.sample(seed, size)[pick], stream_ids=ids)
+        rows = np.array([law.sample(s, size)[pick] for s in seed])
         return cls(config.r, config.dt, rows, stream_ids=ids, stacked=True)
 
 
@@ -285,6 +288,30 @@ class ParticleEnsemble:
 # records
 
 RECORD_FORMS = ("long", "wide")   # PathRecord.write_csv layouts
+
+
+class WideSummary:
+    """The `wide` record form of one system: per grid time, five
+    percentiles and the mean, summarized as the state goes by.
+
+    `observe` has the signature of `_run`'s hook, so a run can fill the
+    table without keeping its trajectory. Row k holds the percentiles of
+    xs (np.percentile does not need it sorted; a sorted row only makes
+    its selection cheap) and the mean of x in its given order.
+    """
+
+    QUANTILES = (5, 25, 50, 75, 95)
+
+    def __init__(self, times: np.ndarray):
+        self.times = times
+        self.rows = np.empty((len(times), len(self.QUANTILES) + 1))
+
+    def observe(self, k: int, x: np.ndarray, xs: np.ndarray) -> None:
+        self.rows[k, :-1] = np.percentile(xs, self.QUANTILES)
+        self.rows[k, -1] = x.mean()
+
+    def write_csv(self, path) -> None:
+        write_table(path, "t,q05,q25,q50,q75,q95,mean", [(self.times, *self.rows.T)])
 
 
 @dataclass
@@ -319,8 +346,10 @@ class PathRecord:
                         (([repr(t)] * self.n, index, row)
                          for t, row in zip(self.times.tolist(), self.values)))
         else:
-            qs = np.percentile(self.values, [5, 25, 50, 75, 95], axis=1)
-            write_table(path, "t,q05,q25,q50,q75,q95,mean", [(self.times, *qs, self.means)])
+            summary = WideSummary(self.times)
+            for k, row in enumerate(self.values):
+                summary.observe(k, row, row)
+            summary.write_csv(path)
 
 
 @dataclass
@@ -476,11 +505,13 @@ def step_interacting(ensemble: ParticleEnsemble, model: ModelSpec, t: float,
 
 
 def simulate_interacting(config: SimConfig, model: ModelSpec, initial_law,
-                         stream_ids=None) -> PathRecord:
+                         stream_ids=None, observe=None, record: bool = True) -> PathRecord | None:
     """The N-interacting system: each particle sees the ensemble's own
-    empirical law, rebuilt once per step from the full state."""
+    empirical law, rebuilt once per step from the full state. observe and
+    record are those of `_run`; with record False nothing is returned."""
     ens = ParticleEnsemble.from_law(config, initial_law, stream_ids=stream_ids)
-    return PathRecord(times=config.times, values=_run(config, model, ens, config.seed))
+    values = _run(config, model, ens, config.seed, observe=observe, record=record)
+    return PathRecord(times=config.times, values=values) if record else None
 
 
 def simulate_frozen(config: SimConfig, model: ModelSpec, flow, n_paths: int,

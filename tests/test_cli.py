@@ -1,6 +1,7 @@
 import os
 import re
 import stat
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,16 @@ BAD_INPUT = {
     "simulate-negative-workers": ("simulate", "--set", "sim.workers=-1"),
     "chaos-rate-zero-workers": ("chaos-rate", "--set", "sim.workers=0"),
     "chaos-rate-negative-workers": ("chaos-rate", "--set", "sim.workers=-1"),
+}
+
+# `simulate` runs whose wide record.csv is summarized as they step; N is
+# above the 8192-element buffer of numpy's reductions
+STREAMED = {
+    "linear": ("--set", "sim.N=9000"),
+    "sqrt": ("--set", "model.name=sqrt", "--set", "sim.N=9000"),
+    "delay": ("--set", "model.name=delay", "--set", "model.m=uniform", "--set", "model.atoms=5",
+              "--set", "model.r=0.2", "--set", "model.beta=0.5", "--set", "model.sigma0=0.2",
+              "--set", "sim.N=9000", "--set", "sim.T=0.5"),
 }
 
 BLOWUP = ("simulate", "--set", "model.name=linear", "--set", "model.a=80.0",
@@ -149,14 +160,43 @@ class TestArtifacts:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_no_partial_output_on_failure(self, tmp_path):
-        out = tmp_path / "o"
+        out = tmp_path / "o"   # blows up part way through a streamed wide record
         code = run_cli("simulate", "--out", str(out),
                        "--set", "model.a=80.0", "--set", "model.c=0.0",
                        "--set", "sim.dt=0.25", "--set", "sim.T=200.0",
                        "--set", "sim.N=2", "--set", "init.name=constant",
-                       "--set", "init.value=1e30")
+                       "--set", "init.value=1e30", "--set", "record.form=wide")
         assert code == 3
         assert not any(os.scandir(out))   # nothing published, nothing staged
+
+    @pytest.mark.parametrize("argv", STREAMED.values(), ids=list(STREAMED))
+    def test_wide_record_equals_whole_record_summary(self, tmp_path, argv):
+        assert run_cli("simulate", "--seed", "3", *argv, "--out", str(tmp_path / "cli")) == 0
+        rc = parse_config(None, {"seed": "3", **dict(a.split("=") for a in argv[1::2])})
+        cfg, mdl = cli._sim_and_model(rc)
+        rec = engine.simulate_interacting(cfg, mdl, rc.initial_law())
+        rec.write_csv(tmp_path / "whole.csv", form="wide")
+        assert (tmp_path / "cli" / "record.csv").read_bytes() == \
+            (tmp_path / "whole.csv").read_bytes()
+
+    def test_wide_simulate_keeps_no_trajectory(self, tmp_path):
+        N, steps = 65_536, 100
+        tracemalloc.start()
+        try:
+            assert run_cli("simulate", "--set", f"sim.N={N}", "--out", str(tmp_path)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record_bytes = 8 * N * (steps + 1)   # 53 MB
+        assert peak < record_bytes / 4
+
+    def test_run_removes_other_subcommands_artifacts(self, tmp_path):
+        assert run_cli("solve", *TINY, "--set", "solve.tol=0.5", "--out", str(tmp_path)) == 0
+        (tmp_path / "notes.txt").write_text("kept")
+        assert run_cli("simulate", *TINY, "--out", str(tmp_path)) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["notes.txt", "record.csv", "run_manifest.txt"]
+        assert (tmp_path / "notes.txt").read_text() == "kept"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from mfchaos.engine import (BlowUpError, BoundedParetoLaw, ConstantLaw,
                             GaussianLaw, ParticleEnsemble, SimConfig,
-                            make_initial_law, sample_initial,
+                            WideSummary, make_initial_law, sample_initial,
                             simulate_coupled, simulate_frozen,
                             simulate_interacting, simulate_mollified)
 from mfchaos.model import (ModelSpec, make_delay_model, make_linear_model,
@@ -330,8 +330,32 @@ class TestRecord:
         rec.write_csv(p, form="wide")
         assert p.read_text().splitlines()[0] == "t,q05,q25,q50,q75,q95,mean"
 
+    @pytest.mark.parametrize("width", [1, 7], ids=["contiguous", "ring-buffer-column"])
+    def test_wide_summary_matches_whole_record_formula(self, width):
+        # the whole-record axis=1 forms are the reference; N spans several
+        # 8192-element blocks, so a blocked sum or a strided read would show
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((6, 20_001)) * 3.0 + 1.0
+        summary = WideSummary(np.arange(6) * 0.1)
+        buf = np.empty((values.shape[1], width))
+        for k, row in enumerate(values):
+            buf[:, k % width] = row
+            x = buf[:, k % width]
+            summary.observe(k, x, np.sort(x))
+        expect = np.column_stack([np.percentile(values, WideSummary.QUANTILES, axis=1).T,
+                                  values.mean(axis=1)])
+        assert np.array_equal(summary.rows, expect)
+
 
 class TestEnsemble:
+    def test_duplicate_caller_ids_rejected(self):
+        with pytest.raises(ValueError, match="unique"):
+            ParticleEnsemble(r=0.0, dt=0.1, init_values=np.zeros(3), stream_ids=[0, 2, 2])
+        cfg = SimConfig(T=0.2, dt=0.1, N=3, seed=0)
+        with pytest.raises(ValueError, match="unique"):
+            ParticleEnsemble.from_law(cfg, GAUSS, stream_ids=[1, 1, 0])
+        assert np.array_equal(ParticleEnsemble.from_law(cfg, GAUSS).stream_ids, np.arange(3))
+
     def test_ring_buffer_matches_segments(self):
         ens = ParticleEnsemble(r=0.4, dt=0.2, init_values=np.array([1.0, 2.0]))
         ens.advance(np.array([10.0, 20.0]))

@@ -2,9 +2,9 @@
 
 perfbench/tracer.py patches the program's layer entry points by name and
 reads some of their positional arguments. This runs its `install` and a
-tiny `chaos-rate` sweep or `tv-study` in a fresh process and checks the
-work counts it derives from the spans, and that each artifact is written
-under exactly one `cli.write` span. No time is measured or bounded.
+tiny `chaos-rate` sweep, `tv-study` or `simulate` in a fresh process and
+checks the work counts it derives from the spans, and that each artifact
+is written under exactly one `cli.write` span. No time is measured or bounded.
 """
 
 import json
@@ -83,6 +83,13 @@ def test_traced_tiny_tv_study_counts_its_steps(tmp_path):
     reference_steps = steps * (1 + TINY["M"])
     assert m["engine.particle_steps"] == (reference_steps
                                           + TINY["replicas"] * sum(TINY["N_list"]) * steps)
+
+
+def test_traced_tiny_wide_simulate_counts_its_steps(tmp_path):
+    N, steps = 8, TINY["steps"]
+    m = _traced(tmp_path, "simulate", "--set", f"sim.N={N}", "--set", "record.form=wide")
+    assert m["engine.particle_steps"] == N * steps
+    assert m["rng.calls"] == steps + 1   # the initial draw, then one per step
 
 
 @pytest.mark.parametrize("command,extra", [("chaos-rate", ()),
