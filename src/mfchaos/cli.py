@@ -6,9 +6,10 @@ override file values. Every run writes a manifest echoing the resolved
 configuration plus seed and library versions, which is enough to
 reproduce the run byte for byte. Artifacts are staged in one hidden
 directory inside the output directory and renamed into place (mode
-`0o666 & ~umask`) only on success, the manifest last, and any other
-subcommand's artifact left there by an earlier run is removed; a failing
-run removes that directory and leaves the rest as it was.
+`0o666 & ~umask`) only on success, the manifest last. Where an earlier
+run's manifest was, any other subcommand's artifact it left is removed;
+where none was, files of the same names are the caller's and stay. A
+failing run removes that directory and leaves the rest as it was.
 
 Exit codes: 0 success, 2 configuration error (bad input, a `ValueError`
 included, as one `config error:` line), 3 numerical blow-up, 4 non-convergence.
@@ -218,8 +219,9 @@ class RunConfig:
 
 
 _MANIFEST = "run_manifest.txt"
-# every file a subcommand may publish besides the manifest; a run removes
-# those of them it did not write, so no earlier run's file outlives it
+# every file a subcommand may publish besides the manifest; a run over an
+# earlier one (a directory holding a manifest) removes those of them it did
+# not write, so no earlier run's file outlives it
 _ARTIFACTS = ("record.csv", "flow.csv", "diagnostics.csv", "rate.csv", "summary.csv",
               "runs.csv", "coupling.csv", "tv.csv", "assumptions.csv", "yamada_audit.csv")
 
@@ -239,15 +241,22 @@ class ArtifactWriter:
 
     def commit(self) -> None:
         """Rename the staged files into place, the manifest last, after
-        removing the old one and every known artifact this run did not
-        write: a directory holding a manifest holds one complete run and
-        nothing else of ours, even if a rename fails part way."""
+        removing the old one and, if there was one, every known artifact
+        this run did not write: a directory holding a manifest holds one
+        complete run and nothing else of ours, even if a rename fails part
+        way. Where no manifest was, no file of the caller's is touched."""
         staged = os.listdir(self.staging)
-        for name in (_MANIFEST, *(a for a in _ARTIFACTS if a not in staged)):
-            try:
-                os.remove(os.path.join(self.out_dir, name))
-            except FileNotFoundError:
-                pass
+        try:
+            os.remove(os.path.join(self.out_dir, _MANIFEST))
+        except FileNotFoundError:
+            pass
+        else:
+            for name in _ARTIFACTS:
+                if name not in staged:
+                    try:
+                        os.remove(os.path.join(self.out_dir, name))
+                    except FileNotFoundError:
+                        pass
         for name in sorted(staged, key=lambda n: n == _MANIFEST):
             os.replace(os.path.join(self.staging, name), os.path.join(self.out_dir, name))
         os.rmdir(self.staging)

@@ -198,6 +198,15 @@ class TestArtifacts:
             ["notes.txt", "record.csv", "run_manifest.txt"]
         assert (tmp_path / "notes.txt").read_text() == "kept"
 
+    def test_run_keeps_same_named_files_where_no_run_was(self, tmp_path):
+        for name in ("summary.csv", "flow.csv"):
+            (tmp_path / name).write_text("the user's own")
+        assert run_cli("simulate", *TINY, "--out", str(tmp_path)) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["flow.csv", "record.csv", "run_manifest.txt", "summary.csv"]
+        for name in ("summary.csv", "flow.csv"):
+            assert (tmp_path / name).read_text() == "the user's own"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
     def test_published_mode_follows_umask(self, tmp_path, umask):
