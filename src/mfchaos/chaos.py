@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import engine, rng
-from .engine import (ConstantLaw, ParticleEnsemble, SimConfig, coupled_stack,
-                     make_initial_law, simulate_frozen, simulate_interacting)
+from .engine import (ConstantLaw, GaussianLaw, ParticleEnsemble, SimConfig, coupled_stack,
+                     simulate_frozen, simulate_interacting)
 from .engine import simulate_coupled  # noqa: F401  (perfbench/tracer.py wraps it by this name)
 from .model import ModelSpec
 from .solver import MeasureFlow
@@ -74,13 +74,12 @@ def oracle_mean_flow(config: SimConfig, model: ModelSpec, initial_law) -> Measur
     model zoo -- because then the ensemble mean satisfies a closed
     deterministic recursion, realized here by one noiseless particle.
     """
-    law = make_initial_law(initial_law) if isinstance(initial_law, str) else initial_law
     silent = replace(model, sigma=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
                      name=f"{model.name}-mean")
     cfg = replace(config, N=1)
-    rec = simulate_interacting(cfg, silent, ConstantLaw(law.mean))
+    rec = simulate_interacting(cfg, silent, ConstantLaw(initial_law.mean))
     return MeasureFlow.point_flow(config.times, rec.values[:, 0], tag="oracle-mean",
-                                  initial_law=law)
+                                  initial_law=initial_law)
 
 
 def build_reference_flow(config: SimConfig, model: ModelSpec, initial_law, M: int,
@@ -316,13 +315,12 @@ class StabilityResult:
 
 
 def stability_perturbation_test(config: SimConfig, model: ModelSpec, delta: float,
-                                initial_law="gaussian") -> StabilityResult:
+                                initial_law=GaussianLaw()) -> StabilityResult:
     """Two interacting systems on identical noise, one stack of two rows with
     initial segments offset by delta; reports the mean absolute gap over time."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    law = make_initial_law(initial_law) if isinstance(initial_law, str) else initial_law
-    x0 = law.sample(config.seed, config.N)
+    x0 = initial_law.sample(config.seed, config.N)
     ens = ParticleEnsemble(config.r, config.dt, np.array([x0, x0 + delta]), stacked=True)
     v = engine._run(config, model, ens, [config.seed, config.seed])
     gap = np.abs(v[:, 0] - v[:, 1]).mean(axis=1)

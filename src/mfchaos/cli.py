@@ -169,10 +169,8 @@ class RunConfig:
                 continue
             pname = key.split(".", 1)[1]
             if pname not in accepted:
-                if key in _OPTIONAL and key in self.values and key not in _DEFAULTS:
-                    raise ConfigError(f"key {key!r}: model {name!r} does not take "
-                                      f"parameter {pname!r}")
-                continue
+                raise ConfigError(f"key {key!r}: model {name!r} does not take "
+                                  f"parameter {pname!r}")
             if pname in ("m",):
                 params[pname] = self.raw(key)
             elif pname in ("atoms",):
@@ -201,8 +199,10 @@ class RunConfig:
                 continue
             pname = {"mean": "loc", "std": "scale"}.get(key.split(".", 1)[1],
                                                         key.split(".", 1)[1])
-            if pname in accepted:
-                params[pname] = self.get_float(key)
+            if pname not in accepted:
+                raise ConfigError(f"key {key!r}: initial law {name!r} does not take "
+                                  f"parameter {pname!r}")
+            params[pname] = self.get_float(key)
         try:
             return cls(**params)
         except (TypeError, ValueError) as e:
@@ -432,10 +432,7 @@ _SUBCOMMANDS = {
 
 def parse_config(path: str | None, overrides: dict[str, str]) -> RunConfig:
     values = parse_config_file(path) if path else {}
-    for k, v in overrides.items():
-        if k not in _DEFAULTS and k not in _OPTIONAL:
-            raise ConfigError(f"unknown key {k!r} in override")
-        values[k] = v
+    values.update(overrides)
     return RunConfig(values)
 
 

@@ -23,8 +23,7 @@ changes a bit.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -156,8 +155,7 @@ def sample_initial(ensemble_size: int, initial_law, seed: int,
                    r: float = 0.0, h: float = 1.0) -> list[Segment]:
     """i.i.d. initial segments with constant history; draw i is a pure
     function of (seed, i)."""
-    law = make_initial_law(initial_law) if isinstance(initial_law, str) else initial_law
-    vals = law.sample(seed, ensemble_size)
+    vals = initial_law.sample(seed, ensemble_size)
     width = (_ratio_as_int(r, h, "delay") if r > 0 else 0) + 1
     return [Segment(r, h, np.full(width, v)) for v in vals]
 
@@ -275,12 +273,11 @@ class ParticleEnsemble:
         gives a stack with one row per seed, each row drawn on its own."""
         n = config.N if n is None else n
         seed = config.seed if seed is None else seed
-        law = make_initial_law(initial_law) if isinstance(initial_law, str) else initial_law
         ids = None if stream_ids is None else np.asarray(stream_ids, int)
         size, pick = (n, slice(None)) if ids is None else (int(ids.max()) + 1, ids)
         if np.ndim(seed) == 0:
-            return cls(config.r, config.dt, law.sample(seed, size)[pick], stream_ids=ids)
-        rows = np.array([law.sample(s, size)[pick] for s in seed])
+            return cls(config.r, config.dt, initial_law.sample(seed, size)[pick], stream_ids=ids)
+        rows = np.array([initial_law.sample(s, size)[pick] for s in seed])
         return cls(config.r, config.dt, rows, stream_ids=ids, stacked=True)
 
 
@@ -318,24 +315,17 @@ class WideSummary:
 class PathRecord:
     times: np.ndarray
     values: np.ndarray               # (steps+1, n)
-    _sorted: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return self.values.shape[1]
 
     @property
-    def sorted_values(self) -> np.ndarray:
-        if self._sorted is None:
-            self._sorted = np.sort(self.values, axis=1)
-        return self._sorted
-
-    @property
     def means(self) -> np.ndarray:
         return self.values.mean(axis=1)
 
     def snapshot(self, k: int) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.sorted_values[k], presorted=True)
+        return EmpiricalMeasure(self.values[k])
 
     def write_csv(self, path, form: str = "long") -> None:
         if form not in RECORD_FORMS:
@@ -368,17 +358,6 @@ class CoupledRecord:
 
 # ---------------------------------------------------------------------------
 # stepping
-
-
-def _snap_measure(model: ModelSpec, config: SimConfig) -> ModelSpec:
-    dm, shift = model.delay_measure.snapped(config.dt)
-    if dm.span > config.r + 1e-12:
-        raise EngineError(
-            f"model delay measure reaches lag -{dm.span} but config.r = {config.r}")
-    if shift > 1e-12 * max(config.dt, 1.0):
-        warnings.warn(f"delay measure atoms snapped to the step grid (worst shift {shift:.3g})")
-        return replace(model, delay_measure=dm)
-    return model
 
 
 # perfbench/tracer.py wraps it by this name; nothing here calls it
@@ -446,7 +425,9 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
     Returns the record, shaped (steps + 1,) + the ensemble's shape, unless
     record is False.
     """
-    model = _snap_measure(model, config)
+    span = model.delay_measure.span   # atoms are read where declared, so all must fit
+    if span > config.r + 1e-12:
+        raise EngineError(f"model delay measure reaches lag -{span} but config.r = {config.r}")
     dt = config.dt
     sqdt = np.sqrt(dt)
     ids = ensemble.stream_ids

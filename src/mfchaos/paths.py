@@ -27,24 +27,20 @@ def _ratio_as_int(num: float, den: float, what: str) -> int:
 class Segment:
     """Scalar path restricted to [-r, 0] on a grid of spacing h.
 
-    Storage is a ring buffer: `advance` rotates a head index instead of
-    shifting the data, so repeated advancing is O(1) per slot written.
-    Instances are treated as immutable; advance returns a new Segment.
+    A plain window of grid values: `advance` builds a new Segment holding
+    all but the oldest value plus the new one, O(len) per step.
+    Instances are treated as immutable.
     """
 
-    __slots__ = ("r", "h", "_buf", "_head")
+    __slots__ = ("r", "h", "_buf")
 
-    def __init__(self, r: float, h: float, values, _ring=None, _head=0):
+    def __init__(self, r: float, h: float, values):
         if not (r > 0 and np.isfinite(r)) and r != 0.0:
             raise ValueError(f"delay horizon r must be finite and >= 0, got {r!r}")
         if not (h > 0 and np.isfinite(h)):
             raise ValueError(f"grid spacing h must be positive, got {h!r}")
         self.r = float(r)
         self.h = float(h)
-        if _ring is not None:
-            self._buf = _ring
-            self._head = _head
-            return
         n = _ratio_as_int(r, h, "segment grid") + 1
         buf = np.asarray(values, dtype=float)
         if buf.shape != (n,):
@@ -52,7 +48,6 @@ class Segment:
         if not np.isfinite(buf).all():
             raise ValueError("segment values must all be finite")
         self._buf = buf.copy()
-        self._head = 0
 
     def __len__(self) -> int:
         return len(self._buf)
@@ -60,31 +55,22 @@ class Segment:
     @property
     def values(self) -> np.ndarray:
         """Grid values ordered from lag -r up to lag 0."""
-        if self._head == 0:
-            return self._buf.copy()
-        return np.concatenate([self._buf[self._head:], self._buf[:self._head]])
+        return self._buf.copy()
 
     def advance(self, new_value: float) -> "Segment":
         """One grid step of the segment process: drop the oldest value, append new."""
-        v = float(new_value)
-        if not np.isfinite(v):
-            raise ValueError(f"advance requires a finite value, got {new_value!r}")
-        buf = self._buf.copy()
-        buf[self._head] = v  # oldest slot becomes the newest entry
-        head = (self._head + 1) % len(buf)
-        return Segment(self.r, self.h, None, _ring=buf, _head=head)
+        return Segment(self.r, self.h, np.append(self._buf[1:], float(new_value)))
 
     def interpolate(self, s: float) -> float:
         """Linear interpolation at lag s in [-r, 0]; exact at grid points."""
         if not (-self.r - _GRID_RTOL <= s <= _GRID_RTOL):
             raise ValueError(f"lag {s!r} outside [-{self.r}, 0]")
-        pos = (min(max(s, -self.r), 0.0) + self.r) / self.h
-        j = int(np.floor(pos))
-        j = min(j, len(self._buf) - 2) if len(self._buf) > 1 else 0
-        frac = pos - j
-        vals = self.values
+        vals = self._buf
         if len(vals) == 1:
             return float(vals[0])
+        pos = (min(max(s, -self.r), 0.0) + self.r) / self.h
+        j = min(int(np.floor(pos)), len(vals) - 2)
+        frac = pos - j
         return float((1.0 - frac) * vals[j] + frac * vals[j + 1])
 
     def __sub__(self, other: "Segment") -> "Segment":
@@ -135,17 +121,6 @@ class DelayMeasure:
         if atoms == 1:
             return cls.dirac(-r / 2.0)
         return cls(np.linspace(-r, 0.0, atoms), np.full(atoms, 1.0 / atoms))
-
-    def snapped(self, h: float) -> tuple["DelayMeasure", float]:
-        """Snap atom locations to multiples of h; returns (measure, worst shift)."""
-        snapped = np.round(self.locations / h) * h
-        snapped = np.minimum(snapped, 0.0)
-        worst = float(np.max(np.abs(snapped - self.locations)))
-        merged: dict[float, float] = {}
-        for s, w in zip(snapped, self.weights):
-            merged[s] = merged.get(s, 0.0) + w
-        locs = np.array(sorted(merged))
-        return DelayMeasure(locs, np.array([merged[s] for s in locs])), worst
 
 
 def uniform_norm(seg: Segment) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .engine import SimConfig, make_initial_law, simulate_frozen
+from .engine import SimConfig, simulate_frozen
 from .measures import EmpiricalMeasure, w1_sorted_rows
 from .measures import w1_sorted  # noqa: F401  (perfbench/tracer.py wraps it by this name)
 from .model import ModelSpec
@@ -70,8 +70,7 @@ class MeasureFlow:
 
     @classmethod
     def from_record(cls, record, tag: str = "", initial_law=None) -> "MeasureFlow":
-        return cls(record.times, record.sorted_values, tag=tag,
-                   initial_law=initial_law, presorted=True)
+        return cls(record.times, record.values, tag=tag, initial_law=initial_law)
 
     @classmethod
     def point_flow(cls, times, centers, tag: str = "point", initial_law=None) -> "MeasureFlow":
@@ -167,10 +166,9 @@ def solve_fixed_point(config: SimConfig, model: ModelSpec, initial_law, M: int,
     """
     seed = config.seed if seed is None else seed
     lam = default_lambda(model) if lam is None else float(lam)
-    law = make_initial_law(initial_law) if isinstance(initial_law, str) else initial_law
-    init_samples = law.sample(rng.derive_seed(seed, _PICARD, 0), M)
+    init_samples = initial_law.sample(rng.derive_seed(seed, _PICARD, 0), M)
     flow = MeasureFlow.constant_flow(config.times, init_samples, tag="initial-guess",
-                                     initial_law=law)
+                                     initial_law=initial_law)
 
     def sub_seed(it: int) -> int:
         return rng.derive_seed(seed, _PICARD, 1 if common_noise else it + 1)

@@ -24,6 +24,7 @@ BAD_INPUT = {
     "one-path": ("solve", "--set", "solve.M=1"),
     "negative-lambda": ("solve", "--set", "solve.lambda=-1"),
     "unknown-record-form": ("simulate", "--set", "record.form=bogus"),
+    "init-key-of-another-law": ("simulate", "--set", "init.tail=3"),
     "reversed-box": ("check-assumptions", "--set", "check.box=3,-3"),
     "epsilon-below-floor": ("yamada-verify", "--epsilon", "0.001"),
     "simulate-zero-workers": ("simulate", "--set", "sim.workers=0"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from mfchaos.engine import (BlowUpError, BoundedParetoLaw, ConstantLaw,
+from mfchaos.engine import (BlowUpError, BoundedParetoLaw, ConstantLaw, EngineError,
                             GaussianLaw, ParticleEnsemble, SimConfig,
                             WideSummary, make_initial_law, sample_initial,
                             simulate_coupled, simulate_frozen,
@@ -120,6 +120,13 @@ class TestInteracting:
         cfg = SimConfig(T=1.0, dt=1e-2, N=4, seed=0, r=1.0)
         rec = simulate_interacting(cfg, mdl, ConstantLaw(1.0))
         assert np.allclose(rec.means, 1.0 + rec.times, atol=2 * cfg.dt)
+
+    def test_atom_beyond_window_rejected(self):
+        # an atom at -0.254 lies outside the r = 0.25 window, though within dt/2 of it
+        mdl = make_delay_model(beta=1.0, r=0.254, sigma0=0.0)
+        cfg = SimConfig(T=0.1, dt=0.01, N=4, seed=0, r=0.25)
+        with pytest.raises(EngineError, match="config.r"):
+            simulate_interacting(cfg, mdl, ConstantLaw(1.0))
 
     def test_rerun_bit_identical(self):
         cfg = SimConfig(T=0.5, dt=0.01, N=64, seed=9)

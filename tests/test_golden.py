@@ -4,8 +4,9 @@ Relative tests (reruns agree, worker counts agree) pass even when a
 refactor changes every number. These pin the exact output bits: the
 SHA-256 of `.tobytes()` for the noise streams, for short runs of every
 stepping path (interacting, coupled, by hand, Picard) on the linear,
-`sqrt` and path-dependent `delay` models, of the stability gap on those
-three models, and of the CSV bytes of small rate, coupling and marginal TV
+`sqrt` and path-dependent `delay` models (including a delay measure whose
+atoms fall between grid columns), of the stability gap on those three
+models, and of the CSV bytes of small rate, coupling and marginal TV
 sweeps, the rate sweeps going through both the nested W1 path (sample
 counts dividing the reference size) and the general one. Every other CSV
 artifact is pinned as well: long and wide `record.csv`, the Picard
@@ -35,6 +36,8 @@ NESTED_N = [16, 128, 512, 1024]    # below, at and above REF_M, nesting with it
 NON_NESTED_N = [24, 40, 96]        # none divides REF_M, none is a multiple of it
 # uniform delay atoms at lags -0.06, -0.04, -0.02, 0 sit on the step grid
 DELAY_CFG = SimConfig(T=0.2, dt=0.02, N=32, seed=SEED, r=0.06)
+# 64 uniform atoms on [-1, 0] at dt = 0.01: all but the end atoms fall between grid columns
+OFF_GRID_CFG = SimConfig(T=0.3, dt=0.01, N=32, seed=5, r=1.0)
 
 GOLDEN = {
     "normals":
@@ -65,6 +68,10 @@ GOLDEN = {
         "1c50c4a867db1a68668b5a411ab83cb037342318d2368cd4a3636cd74bf48eba",
     "delay.coupled.limit":
         "1c50c4a867db1a68668b5a411ab83cb037342318d2368cd4a3636cd74bf48eba",
+    "off_grid.interacting":
+        "bfa58003511cef8459565f56c4499823e71266117e5daa1c36a47359ad30b271",
+    "off_grid.reference":
+        "e2f5d8c6563f365bc3a43330eff32153f48a3f866208bb1142556b5d35868a9b",
     "step_interacting":
         "0b1f22178bba38b56f3cdacbdf757be2c173fb113a81abb879ae1b697d8d1494",
     "solve.flow":
@@ -165,6 +172,17 @@ def test_delay_runs():
     pair = simulate_coupled(DELAY_CFG, mdl, ref)
     assert sha(pair.interacting.values.tobytes()) == GOLDEN["delay.coupled.interacting"]
     assert sha(pair.limit.values.tobytes()) == GOLDEN["delay.coupled.limit"]
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+def test_off_grid_delay_atoms():
+    # atoms are read by interpolation where they are declared, silently
+    mdl = make_delay_model(beta=0.5, r=1.0, a=-0.3, sigma0=0.3, m="uniform", atoms=64)
+    law = GaussianLaw(1.0, 0.5)
+    rec = simulate_interacting(OFF_GRID_CFG, mdl, law)
+    assert sha(rec.values.tobytes()) == GOLDEN["off_grid.interacting"]
+    ref = build_reference_flow(OFF_GRID_CFG, mdl, law, M=256)
+    assert sha(ref.values.tobytes()) == GOLDEN["off_grid.reference"]
 
 
 def test_step_interacting_by_hand():

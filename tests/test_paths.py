@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,13 +130,6 @@ class TestDelayMeasure:
         with pytest.raises(ValueError):
             DelayMeasure([0.5], [1.0])
 
-    def test_snapping_merges_coincident_atoms(self):
-        m = DelayMeasure([-0.1001, -0.0999], [0.5, 0.5])
-        snapped, worst = m.snapped(0.1)
-        assert len(snapped.locations) == 1
-        assert snapped.weights[0] == pytest.approx(1.0)
-        assert worst <= 0.01 + 1e-12
-
 
 class TestInvariants:
     def test_l1m_bounded_by_uniform_gap(self):
@@ -187,20 +178,3 @@ class TestProperties:
         for s in lags:
             got = batch.value_at(s)
             assert got.tobytes() == np.array([seg.interpolate(s) for seg in segs]).tobytes()
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), h=st.sampled_from([0.01, 0.02, 0.1, 0.3]), atoms=st.integers(1, 12))
-    def test_snapped_conserves_mass(self, data, h, atoms):
-        locs = np.array(data.draw(st.lists(st.floats(-2.0, 0.0), min_size=atoms,
-                                           max_size=atoms)))
-        raw = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=atoms,
-                                          max_size=atoms)))
-        m = DelayMeasure(locs, raw / raw.sum())
-        snapped, worst = m.snapped(h)
-        assert math.fsum(snapped.weights) == pytest.approx(math.fsum(m.weights), abs=1e-14)
-        assert worst <= h / 2 + 1e-12
-        # each snapped atom carries exactly the mass of the atoms rounded onto it
-        target = np.minimum(np.round(m.locations / h) * h, 0.0)
-        for loc, w in zip(snapped.locations, snapped.weights):
-            assert w == pytest.approx(math.fsum(m.weights[target == loc]), abs=1e-15)
-        assert len(snapped.locations) == len(np.unique(target))
