@@ -441,6 +441,8 @@ def run(subcommand: str, rc: RunConfig) -> int:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     art = ArtifactWriter(rc.raw("out"))
     try:
+        rc.model()          # every subcommand rejects a model.* or init.* key
+        rc.initial_law()    # it cannot honor, as `simulate` does
         status = _SUBCOMMANDS[subcommand](rc, art)
         _write_lines(art.path_for(_MANIFEST), rc.manifest_lines(subcommand))
         art.commit()

@@ -62,8 +62,9 @@ def _philox(seed: int, stream: int, step: int) -> np.random.Generator:
 
 def uniforms(seed: int, stream: int, step: int, n: int) -> np.ndarray:
     """n uniforms in the open interval (0, 1), pure in (seed, stream, step, i)."""
-    u = _philox(seed, stream, step).integers(0, _U53, size=n, dtype=np.int64) + 0.5
-    u /= _U53
+    # random() is k * 2^-53 for the k of integers(0, 2^53), and + 2^-54 rounds as k + 0.5
+    u = _philox(seed, stream, step).random(n)
+    u += 0.5 / _U53
     return u
 
 

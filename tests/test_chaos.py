@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfchaos import chaos, rng
+from mfchaos import chaos, rng, solver
 from mfchaos.chaos import (RunDiagnostics, _one_coupled_run, build_reference_flow,
                            coupling_error_curve, estimate_chaos_rate, fit_loglog,
                            marginal_tv_study, oracle_mean_flow,
                            stability_perturbation_test, theoretical_exponent)
-from mfchaos.engine import (BlowUpError, ConstantLaw, GaussianLaw, SimConfig,
+from mfchaos.engine import (BlowUpError, ConstantLaw, GaussianLaw, SimConfig, coupled_stack,
                             simulate_coupled, simulate_interacting)
 from mfchaos.measures import pinsker_check
 from mfchaos.model import ModelError, make_delay_model, make_linear_model, make_sqrt_model
@@ -148,6 +148,90 @@ class TestChaosRate:
         coupled = simulate_coupled(cfg, mdl, ref)
         plain = simulate_interacting(cfg, mdl, GAUSS)
         assert np.array_equal(coupled.interacting.values, plain.values)
+
+
+def score_every_row(config, model, reference, N, replicas, master_seed):
+    """The per-N sweep task with an exact W1 for every row at every grid time."""
+    seeds = [rng.derive_seed(master_seed, N, r) for r in range(replicas)]
+    w1_sup = np.zeros(2 * replicas)
+    pairing_sup = np.zeros(replicas)
+
+    def score(k, x, xs):
+        np.maximum(w1_sup, reference.w1_at(k, xs), out=w1_sup)
+        gap = np.abs(x[:replicas] - x[replicas:]).mean(axis=1)
+        np.maximum(pairing_sup, gap, out=pairing_sup)
+
+    coupled_stack(replace(config, N=N), model, reference, seeds, observe=score, record=False)
+    runs = []
+    for r, seed in enumerate(seeds):
+        hat, tld, pair = float(w1_sup[r]), float(w1_sup[replicas + r]), float(pairing_sup[r])
+        runs.append(RunDiagnostics(N=N, replica=r, seed=seed, w1_sup=hat, pairing_sup=pair,
+                                   limit_w1_sup=tld, triangle_ok=hat <= pair + tld + 1e-12))
+    return runs
+
+
+@st.composite
+def sorted_stack(draw, rows, n):
+    """A (rows, n) stack of sorted samples: continuous values, or ties from {-2, ..., 2}."""
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        vals = gen.normal(0.0, draw(st.sampled_from([0.01, 1.0, 100.0])), size=(rows, n))
+    else:
+        vals = gen.integers(-2, 3, size=(rows, n)).astype(float)
+    return np.sort(vals, axis=1)
+
+
+class TestSkippedScoring:
+    """The sweep scores a row exactly only where its skeleton bound lets the sup rise."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), N=st.integers(1, 40), K=st.integers(1, 5),
+           counts=st.sampled_from(["N divides M", "M divides N", "any"]),
+           shift=st.sampled_from([0.0, 3.0, -1e3, 1e6]))
+    def test_bound_is_never_below_the_exact_w1(self, data, N, K, counts, shift):
+        if counts == "N divides M":
+            M = N * data.draw(st.integers(1, 12))
+        elif counts == "M divides N":
+            M = data.draw(st.sampled_from([d for d in range(1, N + 1) if N % d == 0]))
+        else:
+            M = data.draw(st.integers(1, 150))
+        times = np.linspace(0.0, 0.2, 3)
+        ref = MeasureFlow(times, data.draw(sorted_stack(3, M)), presorted=True)
+        xs = data.draw(sorted_stack(K, N)) + shift
+        bound = chaos._w1_upper_bound(ref, N)
+        for k in range(len(times)):
+            # the margin the sweep's skip rule allows for rounding
+            assert np.all(bound(k, xs) * (1 + 1e-9) >= ref.w1_at(k, xs))
+
+    @pytest.mark.parametrize("N_list", [[16, 64, 512], [24, 40, 96]], ids=["nested", "non-nested"])
+    @pytest.mark.parametrize("name", ["linear", "sqrt", "delay"])
+    def test_runs_are_bit_equal_to_scoring_every_row(self, name, N_list):
+        if name == "delay":
+            mdl = make_delay_model(beta=0.5, r=0.06, a=-0.3, sigma0=0.3, m="uniform", atoms=4)
+            cfg = SimConfig(T=0.4, dt=0.02, N=16, seed=31, r=0.06)
+        else:
+            mdl = make_linear_model() if name == "linear" else make_sqrt_model()
+            cfg = SimConfig(T=0.4, dt=0.02, N=16, seed=31)
+        ref = build_reference_flow(cfg, mdl, GAUSS, M=256)
+        for N in N_list:
+            got = _one_coupled_run(cfg, mdl, ref, N, 4, cfg.seed)
+            assert repr(got) == repr(score_every_row(cfg, mdl, ref, N, 4, cfg.seed))
+
+    def test_fewer_rows_reach_the_kernel_than_scoring_every_row(self, linear_setup, monkeypatch):
+        mdl, ref = linear_setup
+        rows = []
+        kernel = solver.w1_sorted_rows
+
+        def counting(xs, ys):
+            rows.append(len(xs))
+            return kernel(xs, ys)
+
+        monkeypatch.setattr(solver, "w1_sorted_rows", counting)
+        replicas = 5
+        for N in N_SMALL:
+            _one_coupled_run(CFG, mdl, ref, N, replicas, CFG.seed)
+        # skeleton curves included
+        assert 0 < sum(rows) < 2 * replicas * len(N_SMALL) * (CFG.steps + 1)
 
 
 class TestStackedReplicas:

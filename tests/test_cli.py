@@ -25,6 +25,9 @@ BAD_INPUT = {
     "negative-lambda": ("solve", "--set", "solve.lambda=-1"),
     "unknown-record-form": ("simulate", "--set", "record.form=bogus"),
     "init-key-of-another-law": ("simulate", "--set", "init.tail=3"),
+    "check-assumptions-init-key-of-another-law": ("check-assumptions", "--set", "init.tail=3"),
+    "yamada-verify-init-key-of-another-law": ("yamada-verify", "--set", "init.tail=3"),
+    "yamada-verify-model-key-of-another-model": ("yamada-verify", "--set", "model.beta=3"),
     "reversed-box": ("check-assumptions", "--set", "check.box=3,-3"),
     "epsilon-below-floor": ("yamada-verify", "--epsilon", "0.001"),
     "simulate-zero-workers": ("simulate", "--set", "sim.workers=0"),

@@ -8,7 +8,8 @@ stepping path (interacting, coupled, by hand, Picard) on the linear,
 atoms fall between grid columns), of the stability gap on those three
 models, and of the CSV bytes of small rate, coupling and marginal TV
 sweeps, the rate sweeps going through both the nested W1 path (sample
-counts dividing the reference size) and the general one. Every other CSV
+counts dividing the reference size) and the general one, on the linear
+model and on `sqrt`. Every other CSV
 artifact is pinned as well: long and wide `record.csv`, the Picard
 `flow.csv` and `diagnostics.csv`, `summary.csv`, and the CLI's
 `assumptions.csv` and `yamada_audit.csv`. A change that alters any digest
@@ -78,6 +79,8 @@ GOLDEN = {
         "9f004def77f374d81d14a4894c4bb3fa229105ecb310a2dba5586235c3079b68",
     "solve.rhos":
         "cffce14ed27d9cc9384568756f735e0f4bd0deae6ee7e72535d5041a1efa2588",
+    "sqrt.runs.csv":
+        "c27c5bd9b1c3f873344fe3c02a4b521f6b854912131c3327513148ad5a8cc452",
     "coupling.csv":
         "5436265c2b2d4174af21ae7e01112d9e4593966b79c1c7da4604ee7763db84cc",
     "stability.linear":
@@ -145,6 +148,15 @@ def test_rate_sweep_csv(reference, tmp_path, label, N_list):
     assert sha((tmp_path / "rate.csv").read_bytes()) == GOLDEN[f"{label}.rate.csv"]
     assert sha((tmp_path / "runs.csv").read_bytes()) == GOLDEN[f"{label}.runs.csv"]
     assert sha((tmp_path / "summary.csv").read_bytes()) == GOLDEN[f"{label}.summary.csv"]
+
+
+def test_sqrt_rate_sweep_runs_csv(tmp_path):
+    # nested and non-nested counts; the sweep scores exactly only rows whose sup could rise
+    mdl = make_sqrt_model()
+    ref = build_reference_flow(CFG, mdl, GaussianLaw(1.0, 0.5), M=REF_M)
+    rep = estimate_chaos_rate(CFG, mdl, [16, 24, 64, 128], 3, ref)
+    rep.write_runs_csv(tmp_path / "runs.csv")
+    assert sha((tmp_path / "runs.csv").read_bytes()) == GOLDEN["sqrt.runs.csv"]
 
 
 def delay_model():

@@ -4,6 +4,7 @@ import random
 import threading
 
 import numpy as np
+import pytest
 from scipy.special import ndtri
 
 from mfchaos import rng
@@ -11,10 +12,23 @@ from mfchaos import rng
 _U53 = 1 << 53
 
 
-def fresh_normals(seed, stream, step, n):
+def integer_uniforms(seed, stream, step, n):
+    """The uniforms as (k + 0.5) / 2^53 of 53-bit integers k, from a fresh generator."""
     key = np.random.SeedSequence(entropy=(seed, stream)).generate_state(2, np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key, counter=int(step) << 64))
-    return ndtri((gen.integers(0, _U53, size=n, dtype=np.int64) + 0.5) / _U53)
+    return (gen.integers(0, _U53, size=n, dtype=np.int64) + 0.5) / _U53
+
+
+def fresh_normals(seed, stream, step, n):
+    return ndtri(integer_uniforms(seed, stream, step, n))
+
+
+@pytest.mark.parametrize("n", [1, 64, 4096, 131_072])
+def test_uniforms_match_the_integer_formula_bitwise(n):
+    for seed, step in [(0, 0), (20260810, 1), (7, 99), (2 ** 63 + 5, 12345)]:
+        got = rng.uniforms(seed, rng.STREAM_DRIVE, step, n)
+        assert got.tobytes() == integer_uniforms(seed, rng.STREAM_DRIVE, step, n).tobytes()
+        assert 0.0 < got.min() and got.max() < 1.0
 
 
 def shuffled_cases(seed, count=120):

@@ -3,9 +3,10 @@
 perfbench/tracer.py patches the program's layer entry points by name and
 reads some of their positional arguments. This runs its `install` and a
 tiny `chaos-rate` sweep, `tv-study` or wide `simulate` in a fresh process
-and checks the work counts it derives from the spans. For the `chaos-rate`
-sweep it also checks that each artifact is written under exactly one
-`cli.write` span. The wide `simulate` record is written by
+and checks the work counts it derives from the spans; the sweep's W1 row
+count is checked against the rows the kernel receives in this process.
+For the `chaos-rate` sweep it also checks that each artifact is written
+under exactly one `cli.write` span. The wide `simulate` record is written by
 `engine.WideSummary.write_csv`, which the tracer does not wrap yet, so that
 write is not traced. No time is measured or bounded.
 """
@@ -16,6 +17,8 @@ import subprocess
 import sys
 
 import pytest
+
+from mfchaos import cli, solver
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -32,7 +35,7 @@ print(json.dumps({"status": status, **metrics}))
 """
 
 
-def test_traced_tiny_sweep_counts_its_work(tmp_path):
+def test_traced_tiny_sweep_counts_its_work(tmp_path, monkeypatch):
     N_list, replicas, M, steps = [8, 16, 32], 2, 64, 10
     args = ["--set", "chaos.N_list=" + ",".join(map(str, N_list)),
             "--set", f"chaos.replicas={replicas}", "--set", f"chaos.M={M}",
@@ -46,7 +49,18 @@ def test_traced_tiny_sweep_counts_its_work(tmp_path):
     assert m["status"] == 0
     reference_steps = steps * (1 + M)   # the oracle's mean particle, then M frozen paths
     assert m["engine.particle_steps"] == 2 * replicas * sum(N_list) * steps + reference_steps
-    assert m["measures.w1_rows"] == 2 * replicas * len(N_list) * (steps + 1)
+    # the sweep scores only rows whose sup could rise, so count the rows
+    # that reach the kernel in this process for the same run
+    seen = []
+    kernel = solver.w1_sorted_rows
+
+    def counting(xs, ys):
+        seen.append(len(xs))
+        return kernel(xs, ys)
+
+    monkeypatch.setattr(solver, "w1_sorted_rows", counting)
+    assert cli.main(["chaos-rate", "--out", str(tmp_path / "again"), *args]) == 0
+    assert m["measures.w1_rows"] == sum(seen) > 0
     assert m["chaos.runs"] == len(N_list)
 
 
