@@ -163,9 +163,8 @@ def _one_coupled_run(config: SimConfig, model: ModelSpec, reference: MeasureFlow
     bound = _w1_upper_bound(reference, N)
 
     def score(k, x, xs):
-        # both sides sum nonnegative terms, rounding at ~1e-14 relative (the CDF route of
-        # counts that do not nest measured under 1e-13 against exact rational sums), so
-        # a row whose bound is 1e-9 below its sup cannot raise it: no output bit moves
+        # W1 rounds within (ceil(log2 S) + 20) * 2**-53 relative (S <= N + M, w1_sorted_rows),
+        # the bound within 2**-53 more: < 1e-14, so a bound 1e-9 below the sup cannot raise it
         live = bound(k, xs) * (1 + 1e-9) >= w1_sup
         if live.any():
             w1_sup[live] = np.maximum(w1_sup[live], reference.w1_at(k, xs[live]))
@@ -173,13 +172,10 @@ def _one_coupled_run(config: SimConfig, model: ModelSpec, reference: MeasureFlow
         np.maximum(pairing_sup, gap, out=pairing_sup)
 
     coupled_stack(replace(config, N=N), model, reference, seeds, observe=score, record=False)
-    runs = []
-    for r, seed in enumerate(seeds):
-        hat, tld, pair = float(w1_sup[r]), float(w1_sup[replicas + r]), float(pairing_sup[r])
-        runs.append(RunDiagnostics(N=N, replica=r, seed=seed, w1_sup=hat,
-                                   pairing_sup=pair, limit_w1_sup=tld,
-                                   triangle_ok=hat <= pair + tld + 1e-12))
-    return runs
+    hat, tld, pair = w1_sup[:replicas].tolist(), w1_sup[replicas:].tolist(), pairing_sup.tolist()
+    return [RunDiagnostics(N=N, replica=r, seed=seed, w1_sup=hat[r], pairing_sup=pair[r],
+                           limit_w1_sup=tld[r], triangle_ok=hat[r] <= pair[r] + tld[r] + 1e-12)
+            for r, seed in enumerate(seeds)]
 
 
 def _per_n(task, sizes, workers: int) -> list:
@@ -195,19 +191,20 @@ def _per_n(task, sizes, workers: int) -> list:
 
 def _coupled_sweep(config: SimConfig, model: ModelSpec, reference: MeasureFlow,
                    N_list, replicas: int, workers: int = 1) -> list[RunDiagnostics]:
+    if any(b <= a for a, b in zip(N_list, N_list[1:])):
+        raise ValueError("ensemble sizes must be strictly increasing")
+    if replicas < 2:
+        raise ValueError("need at least two replicas for standard errors")
     per_n = _per_n(lambda N: _one_coupled_run(config, model, reference, N, replicas, config.seed),
-                   [int(N) for N in N_list], workers)
+                   N_list, workers)
     return [d for runs in per_n for d in runs]
 
 
-def _per_n_stats(N_list, runs, field: str, replicas: int) -> tuple[np.ndarray, np.ndarray]:
+def _per_n_stats(N_list, runs, field: str) -> tuple[np.ndarray, np.ndarray]:
     """Replica mean and standard error of one RunDiagnostics field per N."""
-    per_n = {n: [] for n in N_list}
-    for d in runs:
-        per_n[d.N].append(getattr(d, field))
-    means = np.array([np.mean(per_n[n]) for n in N_list])
-    stderrs = np.array([np.std(per_n[n], ddof=1) / np.sqrt(max(replicas, 2)) for n in N_list])
-    return means, stderrs
+    per_n = [[getattr(d, field) for d in runs if d.N == n] for n in N_list]
+    return (np.array([np.mean(v) for v in per_n]),
+            np.array([np.std(v, ddof=1) / np.sqrt(len(v)) for v in per_n]))
 
 
 def estimate_chaos_rate(config_base: SimConfig, model: ModelSpec, N_list, replicas: int,
@@ -216,12 +213,10 @@ def estimate_chaos_rate(config_base: SimConfig, model: ModelSpec, N_list, replic
     the log-log rate. Seeds derive from (config seed, N, replica), so the
     report is reproducible and independent of the worker count."""
     N_list = [int(n) for n in N_list]
-    if len(N_list) < 3 or any(b <= a for a, b in zip(N_list, N_list[1:])):
-        raise ValueError("need at least three strictly increasing ensemble sizes")
-    if replicas < 2:
-        raise ValueError("need at least two replicas for standard errors")
+    if len(N_list) < 3:
+        raise ValueError("need at least three ensemble sizes to fit a rate")
     runs = _coupled_sweep(config_base, model, reference, N_list, replicas, workers)
-    means, stderrs = _per_n_stats(N_list, runs, "w1_sup", replicas)
+    means, stderrs = _per_n_stats(N_list, runs, "w1_sup")
     slope, intercept, sst = fit_loglog(N_list, means)
     return RateReport(N_list=N_list, error_mean=means, error_stderr=stderrs,
                       slope=slope, intercept=intercept, slope_stderr=sst,
@@ -244,7 +239,7 @@ def coupling_error_curve(config_base: SimConfig, model: ModelSpec, reference: Me
     """Per-N sup-t pathwise gap between each particle and its mean-field twin."""
     N_list = [int(n) for n in N_list]
     runs = _coupled_sweep(config_base, model, reference, N_list, replicas, workers)
-    means, stderrs = _per_n_stats(N_list, runs, "pairing_sup", replicas)
+    means, stderrs = _per_n_stats(N_list, runs, "pairing_sup")
     slope = fit_loglog(N_list, means)[0] if len(N_list) >= 3 and np.all(means > 0) else float("nan")
     return CouplingReport(N_list=N_list, error_mean=means, error_stderr=stderrs,
                           slope=slope, runs=runs)

@@ -131,6 +131,10 @@ class TestChaosRate:
             estimate_chaos_rate(CFG, mdl, [64, 128], 4, ref)
         with pytest.raises(ValueError):
             estimate_chaos_rate(CFG, mdl, N_SMALL, 1, ref)
+        # the coupling sweep shares the replica and ordering rules, not the three-size one
+        for N_list, replicas in (([64, 64], 2), ([128, 64], 2), ([64, 128], 1)):
+            with pytest.raises(ValueError):
+                coupling_error_curve(CFG, mdl, ref, N_list, replicas)
 
     def test_worker_count_invariance(self, linear_setup):
         mdl, ref = linear_setup
@@ -315,13 +319,17 @@ class TestPerNDispatch:
         assert out == [(64, 4), (4096, 1), (16, 5), (4096, 2), (256, 3)]
 
     def test_duplicate_sizes_come_back_in_N_list_order(self, linear_setup):
+        # the coupled sweeps reject such a list; the dispatch itself keeps any order
         mdl, ref = linear_setup
         N_list = [64, 16, 64]
-        one = coupling_error_curve(CFG, mdl, ref, N_list, 2, workers=1)
-        two = coupling_error_curve(CFG, mdl, ref, N_list, 2, workers=2)
-        assert [d.N for d in two.runs] == [64, 64, 16, 16, 64, 64]
-        assert repr(two.runs) == repr(one.runs)
-        assert two.error_mean.tobytes() == one.error_mean.tobytes()
+
+        def task(N):
+            return _one_coupled_run(CFG, mdl, ref, N, 2, CFG.seed)
+        one = chaos._per_n(task, N_list, 1)
+        two = chaos._per_n(task, N_list, 2)
+        assert [d.N for runs in two for d in runs] == [64, 64, 16, 16, 64, 64]
+        assert repr(two) == repr(one)
+        assert repr(two[0]) == repr(two[2])
 
 
 class TestCouplingCurve:

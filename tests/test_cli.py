@@ -21,6 +21,8 @@ TINY = ("--set", "sim.T=0.1", "--set", "sim.dt=0.01", "--set", "sim.N=8",
 BAD_INPUT = {
     "one-replica": ("chaos-rate", "--set", "chaos.replicas=1"),
     "decreasing-N_list": ("chaos-rate", "--set", "chaos.N_list=32,16,8"),
+    "coupling-one-replica": ("coupling", "--set", "chaos.replicas=1"),
+    "coupling-repeated-N": ("coupling", "--set", "chaos.N_list=8,8"),
     "one-path": ("solve", "--set", "solve.M=1"),
     "negative-lambda": ("solve", "--set", "solve.lambda=-1"),
     "unknown-record-form": ("simulate", "--set", "record.form=bogus"),

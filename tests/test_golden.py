@@ -7,9 +7,9 @@ stepping path (interacting, coupled, by hand, Picard) on the linear,
 `sqrt` and path-dependent `delay` models (including a delay measure whose
 atoms fall between grid columns), of the stability gap on those three
 models, and of the CSV bytes of small rate, coupling and marginal TV
-sweeps, the rate sweeps going through both the nested W1 path (sample
-counts dividing the reference size) and the general one, on the linear
-model and on `sqrt`. Every other CSV
+sweeps, the rate sweeps scoring sample counts that divide the reference
+size and counts that do not (their W1 sums segments of unequal length),
+on the linear model and on `sqrt`. Every other CSV
 artifact is pinned as well: long and wide `record.csv`, the Picard
 `flow.csv` and `diagnostics.csv`, `summary.csv`, and the CLI's
 `assumptions.csv` and `yamada_audit.csv`. A change that alters any digest
@@ -54,9 +54,9 @@ GOLDEN = {
     "nested.runs.csv":
         "e6885f620802356b8392d46b7b075014c134e1758d794012b7fe7a3e0ebd4d9b",
     "non_nested.rate.csv":
-        "0790abfe5a7e0c3d6ac3b58ac9f68d0c0a47ce99569b4e7a678ae80dd029e768",
+        "b9802b6845172dc5f5fd202dcfdcbcadea6a4aa182831a86406c3e1d5afeb452",
     "non_nested.runs.csv":
-        "3fc027a9fda86ebb389f470d25d1fbd173cf176e30c32cdb47d3051d59835d99",
+        "e838c724f6a7fa5d5262c4806701984d2d65c6e0c55ebe2b3050b1f173e0cfd2",
     "sqrt.interacting":
         "a52933e9ce4eb5edcfbecddaafe4f421632c88f53aaa6f6b9663dac72a3b0d85",
     "sqrt.coupled.interacting":
@@ -80,7 +80,7 @@ GOLDEN = {
     "solve.rhos":
         "cffce14ed27d9cc9384568756f735e0f4bd0deae6ee7e72535d5041a1efa2588",
     "sqrt.runs.csv":
-        "c27c5bd9b1c3f873344fe3c02a4b521f6b854912131c3327513148ad5a8cc452",
+        "14e47d4bb470a7244bc4f1f7570c2429e41fee75c6f33e2ccf743f049e2d661d",
     "coupling.csv":
         "5436265c2b2d4174af21ae7e01112d9e4593966b79c1c7da4604ee7763db84cc",
     "stability.linear":

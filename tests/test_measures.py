@@ -1,11 +1,12 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
@@ -126,6 +127,24 @@ def w1_quantile_oracle(x, y):
     return math.fsum(np.abs(qx - qy)) / common
 
 
+def w1_exact(x, y):
+    """(W1 as an exact rational, number of segments): the quantile functions are
+    constant between the breakpoints {i/n} and {j/m}, integer steps on the grid of 1/L."""
+    n, m = len(x), len(y)
+    L = math.lcm(n, m)
+    cuts = sorted(set(range(0, L, L // n)) | set(range(0, L, L // m))) + [L]
+    total = sum((d - c) * abs(Fraction(x[c * n // L]) - Fraction(y[c * m // L]))
+                for c, d in zip(cuts, cuts[1:]))
+    return total / L, len(cuts) - 1
+
+
+def assert_within_derived_bound(got, x, y):
+    # two roundings per term, at most ceil(log2 S) + 17 in numpy's pairwise sum, one division
+    exact, segments = w1_exact(x, y)
+    k = math.ceil(math.log2(segments)) + 20
+    assert abs(Fraction(got) - exact) <= ((1 + Fraction(1, 2 ** 53)) ** k - 1) * exact
+
+
 @st.composite
 def sorted_rows(draw, rows, n):
     """A (rows, n) stack of sorted samples: continuous values, or ties from {-2, ..., 2}."""
@@ -164,6 +183,30 @@ class TestW1Kernel:
         y = data.draw(sorted_rows(1, m))[0]
         assert abs(w1_sorted(x, y) - w1_quantile_oracle(x, y)) <= 1e-12
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 3), n=st.integers(2, 300), m=st.integers(2, 300),
+           offset=st.sampled_from([0.0, 1e6]))
+    def test_non_nested_counts_within_derived_bound_of_exact_oracle(self, data, rows, n, m,
+                                                                    offset):
+        assume(n % m and m % n)
+        xs = data.draw(sorted_rows(rows, n)) + offset
+        ys = data.draw(sorted_rows(rows, m)) + offset
+        got = w1_sorted_rows(xs, ys)
+        assert got.tobytes() == w1_sorted_rows(ys, xs).tobytes()
+        for k in range(rows):
+            assert_within_derived_bound(got[k], xs[k], ys[k])
+
+    @pytest.mark.parametrize("n,m", [(4095, 4096), (1000, 32768), (40, 768)])
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_large_lcm_within_derived_bound_of_exact_oracle(self, n, m, offset):
+        # lcm(4095, 4096) = 16,773,120: the bound depends on the n + m segments only
+        gen = np.random.default_rng(n + m)
+        xs = np.sort(gen.normal(size=(2, n)), axis=1) + offset
+        y = np.sort(gen.normal(size=m)) + offset
+        got = w1_sorted_rows(xs, np.broadcast_to(y, (2, m)))
+        for k in range(2):
+            assert_within_derived_bound(got[k], xs[k], y)
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 40), m=st.integers(1, 40))
     def test_symmetric_and_zero_on_self(self, data, n, m):
@@ -200,19 +243,21 @@ class TestW1Kernel:
         assert w1_sorted_rows(np.broadcast_to(y, (rows, m)), xs).tobytes() == want
 
     def test_broadcast_reference_row_stays_small(self):
-        # one sweep step: 2 x 20 rows of N=64 against one M=32768 reference row
+        # one sweep step: 2 x 20 rows of N=64 (nesting) or N=1000 (not) against one
+        # M=32768 reference row
         rng = np.random.default_rng(43)
         xs = np.sort(rng.normal(size=(40, 64)), axis=1)
         y = np.sort(rng.normal(size=32768))
-        want = w1_sorted_rows(xs, np.tile(y, (40, 1))).tobytes()
-        tracemalloc.start()
-        try:
-            got = w1_sorted_rows(xs, np.broadcast_to(y, (40, 32768)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
-        assert got.tobytes() == want
+        for xs in (xs, np.sort(rng.normal(size=(40, 1000)), axis=1)):
+            measures._segments.cache_clear()   # the segment plan counts too
+            tracemalloc.start()
+            try:
+                got = w1_sorted_rows(xs, np.broadcast_to(y, (40, 32768)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2 ** 20
+            assert got.tobytes() == w1_sorted_rows(xs, np.tile(y, (40, 1))).tobytes()
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):
