@@ -92,9 +92,14 @@ def build_reference_flow(config: SimConfig, model: ModelSpec, initial_law, M: in
     """
     seed = rng.derive_seed(config.seed, _REF_STREAM) if seed is None else seed
     mean_flow = oracle_mean_flow(config, model, initial_law)
-    rec = simulate_frozen(config, model, mean_flow, M, seed)
-    out = MeasureFlow.from_record(rec, tag=f"reference-M{M}", initial_law=mean_flow.initial_law)
-    return out
+    values = np.empty((config.steps + 1, M))
+
+    def keep(k, x, xs):   # the rows the step sorts anyway, so no record is kept or re-sorted
+        values[k] = xs
+
+    simulate_frozen(config, model, mean_flow, M, seed, observe=keep, record=False)
+    return MeasureFlow(config.times, values, tag=f"reference-M{M}",
+                       initial_law=mean_flow.initial_law, presorted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +194,15 @@ def _per_n(task, sizes, workers: int) -> list:
     return [futs[i].result() for i in range(len(sizes))]
 
 
-def _coupled_sweep(config: SimConfig, model: ModelSpec, reference: MeasureFlow,
-                   N_list, replicas: int, workers: int = 1) -> list[RunDiagnostics]:
+def _check_increasing(N_list) -> None:
+    """Every sweep runs each N once, on seeds derived from N alone."""
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ValueError("ensemble sizes must be strictly increasing")
+
+
+def _coupled_sweep(config: SimConfig, model: ModelSpec, reference: MeasureFlow,
+                   N_list, replicas: int, workers: int = 1) -> list[RunDiagnostics]:
+    _check_increasing(N_list)
     if replicas < 2:
         raise ValueError("need at least two replicas for standard errors")
     per_n = _per_n(lambda N: _one_coupled_run(config, model, reference, N, replicas, config.seed),
@@ -281,6 +291,7 @@ def marginal_tv_study(config_base: SimConfig, model: ModelSpec, reference: Measu
     if replicas < 1:
         raise ValueError("need at least one replica")
     N_list = [int(n) for n in N_list]
+    _check_increasing(N_list)
     times = [float(t) for t in times]
     k_idx = []
     for t in times:

@@ -48,6 +48,10 @@ class BlowUpError(EngineError):
         self.t = t
         super().__init__(f"blow-up: particle {particle} became non-finite at step {step} (t={t:g})")
 
+    def __reduce__(self):
+        # Exception pickles only its message; rebuild from the three fields
+        return type(self), (self.particle, self.step, self.t)
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -293,18 +297,29 @@ class WideSummary:
 
     `observe` has the signature of `_run`'s hook, so a run can fill the
     table without keeping its trajectory. Row k holds the percentiles of
-    xs (np.percentile does not need it sorted; a sorted row only makes
-    its selection cheap) and the mean of x in its given order.
+    xs, which must be sorted, and the mean of x in its given order. The
+    percentiles are np.percentile's linear method read straight from the
+    sorted row, with the same roundings, so no copy is partitioned.
     """
 
     QUANTILES = (5, 25, 50, 75, 95)
+    _Q = np.true_divide(QUANTILES, 100)   # as np.percentile divides them
 
     def __init__(self, times: np.ndarray):
         self.times = times
         self.rows = np.empty((len(times), len(self.QUANTILES) + 1))
 
     def observe(self, k: int, x: np.ndarray, xs: np.ndarray) -> None:
-        self.rows[k, :-1] = np.percentile(xs, self.QUANTILES)
+        n = xs.shape[-1]
+        pos = (n - 1) * self._Q
+        lo = np.floor(pos)
+        lo[pos >= n - 1] = -1   # as numpy: both neighbours are the last value,
+        g = pos - lo            # and the weight is taken from the clipped index
+        i = lo.astype(np.intp)
+        a, b = xs[i], xs[np.where(i < 0, -1, i + 1)]
+        d = b - a
+        # numpy's _lerp: from the nearer end, a + d*g below g = 0.5, b - d*(1-g) from it
+        self.rows[k, :-1] = np.where(g >= 0.5, b - d * (1 - g), a + d * g)
         self.rows[k, -1] = x.mean()
 
     def write_csv(self, path) -> None:
@@ -338,7 +353,7 @@ class PathRecord:
         else:
             summary = WideSummary(self.times)
             for k, row in enumerate(self.values):
-                summary.observe(k, row, row)
+                summary.observe(k, row, np.sort(row))
             summary.write_csv(path)
 
 
@@ -436,6 +451,7 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
         ids = None
     stacked = ensemble.current.ndim == 2
     k0 = ensemble.step_index
+    new = np.empty_like(ensemble.current)   # advance copies it into the ring buffer
     out = None
     if record:
         out = np.empty((config.steps + 1,) + ensemble.current.shape)
@@ -448,7 +464,6 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
             xs = np.sort(x, axis=-1)
             observe(k, x, xs)
         z = _increments(seeds, k, ids, n_streams)
-        new = np.empty_like(x)
         for rows, flow in groups:
             if flow is not None:
                 mu = flow.measure_at(k)
@@ -456,8 +471,15 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
                 own = xs[rows] if xs is not None else np.sort(x[rows], axis=-1)
                 mu = EmpiricalMeasure(own, presorted=True, stacked=stacked)
             drift, sig = _eval_coeffs(model, t, x[rows], ensemble.batch(rows), mu)
-            new[rows] = x[rows] + drift * dt + sig * sqdt * z[rows]
-            _check_advanced(x[rows], drift, sig, new[rows], k, t)
+            # new = x + drift*dt + sig*sqdt*z with the same roundings (+ and * commute);
+            # z is this step's own draw, so its rows serve as the scratch
+            upd, zr = new[rows], z[rows]
+            np.multiply(sig, sqdt, out=upd)
+            upd *= zr
+            np.multiply(drift, dt, out=zr)
+            zr += x[rows]
+            upd += zr
+            _check_advanced(x[rows], drift, sig, upd, k, t)
         ensemble.advance(new)
         if record:
             out[k - k0 + 1] = new
@@ -496,17 +518,19 @@ def simulate_interacting(config: SimConfig, model: ModelSpec, initial_law,
 
 
 def simulate_frozen(config: SimConfig, model: ModelSpec, flow, n_paths: int,
-                    seed: int) -> PathRecord:
+                    seed: int, observe=None, record: bool = True) -> PathRecord | None:
     """Independent paths driven by a frozen measure flow instead of the
-    ensemble's own law."""
+    ensemble's own law. observe and record are those of `_run`; with
+    record False nothing is returned."""
     if flow.steps != config.steps or abs(flow.times[-1] - config.T) > 1e-12:
         raise EngineError("measure flow grid does not match the simulation grid")
     if flow.initial_law is None:
         raise EngineError("flow carries no initial law; attach one before freezing")
     cfg = replace(config, N=n_paths, seed=seed)
     ens = ParticleEnsemble.from_law(cfg, flow.initial_law, seed=seed)
-    return PathRecord(times=cfg.times,
-                      values=_run(cfg, model, ens, seed, groups=((Ellipsis, flow),)))
+    values = _run(cfg, model, ens, seed, groups=((Ellipsis, flow),), observe=observe,
+                  record=record)
+    return PathRecord(times=cfg.times, values=values) if record else None
 
 
 def coupled_stack(config: SimConfig, model: ModelSpec, reference_flow, seeds,

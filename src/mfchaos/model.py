@@ -132,7 +132,11 @@ def make_sqrt_model(kappa: float = 1.0, theta: float = 1.0, c: float = 0.5,
         return 0.0
 
     def sigma(t, x):
-        return sigma0 * np.sqrt(np.abs(np.asarray(x, dtype=float)))
+        # sigma0 * sqrt(|x|) in the one array abs allocates; a numpy scalar cannot be an out
+        s = np.abs(np.asarray(x, dtype=float))
+        s = np.sqrt(s, out=s if np.ndim(s) else None)
+        s *= sigma0
+        return s
 
     return ModelSpec(
         name="sqrt", drift=drift, path_drift=path_drift, sigma=sigma,

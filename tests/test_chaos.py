@@ -12,7 +12,7 @@ from mfchaos.chaos import (RunDiagnostics, _one_coupled_run, build_reference_flo
                            marginal_tv_study, oracle_mean_flow,
                            stability_perturbation_test, theoretical_exponent)
 from mfchaos.engine import (BlowUpError, ConstantLaw, GaussianLaw, SimConfig, coupled_stack,
-                            simulate_coupled, simulate_interacting)
+                            simulate_coupled, simulate_frozen, simulate_interacting)
 from mfchaos.measures import pinsker_check
 from mfchaos.model import ModelError, make_delay_model, make_linear_model, make_sqrt_model
 from mfchaos.solver import MeasureFlow
@@ -444,6 +444,19 @@ class TestReferenceFlows:
         k = np.arange(CFG.steps + 1)
         oracle = GAUSS.mean * (1.0 + (-1.0 + 0.5) * CFG.dt) ** k
         assert np.allclose(flow.means, oracle, atol=1e-12)
+
+    @pytest.mark.parametrize("M", [256, 300], ids=["nesting", "non-nesting"])
+    @pytest.mark.parametrize("make", [make_linear_model, make_sqrt_model],
+                             ids=["linear", "sqrt"])
+    def test_reference_flow_equals_the_sorted_frozen_record(self, make, M):
+        mdl = make()
+        seed = rng.derive_seed(CFG.seed, chaos._REF_STREAM)
+        mean_flow = oracle_mean_flow(CFG, mdl, GAUSS)
+        expect = MeasureFlow.from_record(simulate_frozen(CFG, mdl, mean_flow, M, seed))
+        got = build_reference_flow(CFG, mdl, GAUSS, M=M)
+        assert got.values.tobytes() == expect.values.tobytes()
+        assert got.times.tobytes() == expect.times.tobytes()
+        assert got.initial_law == GAUSS
 
     def test_reference_flow_deterministic(self):
         mdl = make_linear_model()

@@ -23,6 +23,8 @@ BAD_INPUT = {
     "decreasing-N_list": ("chaos-rate", "--set", "chaos.N_list=32,16,8"),
     "coupling-one-replica": ("coupling", "--set", "chaos.replicas=1"),
     "coupling-repeated-N": ("coupling", "--set", "chaos.N_list=8,8"),
+    # the study time is on the grid, so only the repeat can be rejected
+    "tv-study-repeated-N": ("tv-study", "--set", "chaos.N_list=8,8", "--set", "chaos.times=0.1"),
     "one-path": ("solve", "--set", "solve.M=1"),
     "negative-lambda": ("solve", "--set", "solve.lambda=-1"),
     "unknown-record-form": ("simulate", "--set", "record.form=bogus"),

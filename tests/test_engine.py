@@ -1,7 +1,12 @@
-import numpy as np
-import pytest
+import pickle
 from dataclasses import replace
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mfchaos import rng
 from mfchaos.engine import (BlowUpError, BoundedParetoLaw, ConstantLaw, EngineError,
                             GaussianLaw, ParticleEnsemble, SimConfig,
                             WideSummary, make_initial_law, sample_initial,
@@ -9,6 +14,7 @@ from mfchaos.engine import (BlowUpError, BoundedParetoLaw, ConstantLaw, EngineEr
                             simulate_interacting, simulate_mollified)
 from mfchaos.model import (ModelSpec, make_delay_model, make_linear_model,
                            make_sqrt_model)
+from mfchaos.measures import EmpiricalMeasure
 from mfchaos.paths import DelayMeasure
 from mfchaos.solver import MeasureFlow
 from mfchaos.chaos import oracle_mean_flow
@@ -152,6 +158,37 @@ class TestInteracting:
             simulate_interacting(cfg, cubic, ConstantLaw(100.0))
         assert exc.value.particle in range(3)
         assert "step" in str(exc.value)
+
+    def test_blowup_error_survives_pickling(self):
+        err = pickle.loads(pickle.dumps(BlowUpError(3, 5, 0.05)))
+        assert type(err) is BlowUpError
+        assert (err.particle, err.step, err.t) == (3, 5, 0.05)
+        assert str(err) == str(BlowUpError(3, 5, 0.05))
+
+    @pytest.mark.parametrize("name", ["linear-cached-read-only-sigma", "sqrt"])
+    def test_steps_equal_the_expression_form_bitwise(self, name):
+        # the engine writes the update in place; an in-test loop of the plain
+        # expression is the reference, and a coefficient's array is never written
+        cfg = SimConfig(T=0.3, dt=0.01, N=9001, seed=12)
+        if name == "sqrt":
+            mdl = make_sqrt_model()
+        else:
+            cached = np.full(cfg.N, 0.3)
+            cached.flags.writeable = False
+            mdl = replace(make_linear_model(), sigma=lambda t, x: cached)
+        x = GAUSS.sample(cfg.seed, cfg.N)
+        expect = [x]
+        for k in range(cfg.steps):
+            t = k * cfg.dt
+            mu = EmpiricalMeasure(np.sort(x), presorted=True)
+            drift = mdl.drift(t, x, mu) + mdl.path_drift(t, None, mu)
+            z = rng.normals(cfg.seed, rng.STREAM_DRIVE, k, cfg.N)
+            x = x + drift * cfg.dt + mdl.sigma(t, x) * np.sqrt(cfg.dt) * z
+            expect.append(x)
+        rec = simulate_interacting(cfg, mdl, GAUSS)
+        assert rec.values.tobytes() == np.array(expect).tobytes()
+        if name != "sqrt":
+            assert np.all(cached == 0.3)
 
     def test_bad_coefficient_at_sane_state_is_model_error(self):
         from mfchaos.model import ModelError
@@ -352,6 +389,25 @@ class TestRecord:
         expect = np.column_stack([np.percentile(values, WideSummary.QUANTILES, axis=1).T,
                                   values.mean(axis=1)])
         assert np.array_equal(summary.rows, expect)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.one_of(st.integers(1, 5000), st.just(131_072)),
+           kind=st.sampled_from(["continuous", "ties", "constant", "signed-zero"]),
+           offset=st.sampled_from([0.0, 1e6, -1e6]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_wide_summary_percentiles_equal_numpy_bitwise(self, n, kind, offset, seed):
+        pick = np.random.default_rng(seed)
+        if kind == "continuous":
+            x = pick.standard_normal(n) * 3.0 + offset
+        elif kind == "ties":
+            x = pick.integers(-3, 4, n) * 0.5 + offset
+        elif kind == "constant":
+            x = np.full(n, pick.standard_normal() + offset)
+        else:
+            x = np.full(n, -0.0)   # numpy's weight at a clipped index shows in the sign
+        summary = WideSummary(np.zeros(1))
+        summary.observe(0, x, np.sort(x))
+        expect = np.percentile(x, WideSummary.QUANTILES)
+        assert summary.rows[0, :-1].tobytes() == expect.tobytes()
 
 
 class TestEnsemble:
