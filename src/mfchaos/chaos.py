@@ -21,10 +21,10 @@ import numpy as np
 
 from . import engine, rng
 from .engine import (ConstantLaw, GaussianLaw, ParticleEnsemble, SimConfig, coupled_stack,
-                     simulate_frozen, simulate_interacting)
+                     simulate_interacting)
 from .engine import simulate_coupled  # noqa: F401  (perfbench/tracer.py wraps it by this name)
 from .model import ModelSpec
-from .solver import MeasureFlow
+from .solver import MeasureFlow, frozen_law
 from .table import write_table
 from .measures import EmpiricalMeasure, tv_estimate
 
@@ -92,14 +92,7 @@ def build_reference_flow(config: SimConfig, model: ModelSpec, initial_law, M: in
     """
     seed = rng.derive_seed(config.seed, _REF_STREAM) if seed is None else seed
     mean_flow = oracle_mean_flow(config, model, initial_law)
-    values = np.empty((config.steps + 1, M))
-
-    def keep(k, x, xs):   # the rows the step sorts anyway, so no record is kept or re-sorted
-        values[k] = xs
-
-    simulate_frozen(config, model, mean_flow, M, seed, observe=keep, record=False)
-    return MeasureFlow(config.times, values, tag=f"reference-M{M}",
-                       initial_law=mean_flow.initial_law, presorted=True)
+    return frozen_law(config, model, mean_flow, M, seed, tag=f"reference-M{M}")
 
 
 # ---------------------------------------------------------------------------

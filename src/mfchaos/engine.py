@@ -310,6 +310,7 @@ class WideSummary:
         self.rows = np.empty((len(times), len(self.QUANTILES) + 1))
 
     def observe(self, k: int, x: np.ndarray, xs: np.ndarray) -> None:
+        """Summarize grid time k; xs must be x sorted, or the percentiles are wrong."""
         n = xs.shape[-1]
         pos = (n - 1) * self._Q
         lo = np.floor(pos)
@@ -414,7 +415,9 @@ def _check_advanced(x, drift, sig, new, k: int, t: float) -> None:
 
 def _increments(seeds, k: int, ids, n_streams: int) -> np.ndarray:
     """Brownian increments of step k: one row per seed, or one system for a
-    single seed. Rows with equal seeds share one draw."""
+    single seed. Rows with equal seeds draw once but each gets its own copy:
+    the array is fresh and no two rows share memory, since `_run` overwrites
+    it as scratch."""
     def draw(seed):
         z = rng.normals(seed, rng.STREAM_DRIVE, k, n_streams)
         return z if ids is None else z[ids]

@@ -125,8 +125,21 @@ def apply_phi(config: SimConfig, model: ModelSpec, flow: MeasureFlow, M: int,
     """
     if M < 2:
         raise ValueError("need at least two paths per iteration")
-    record = simulate_frozen(config, model, flow, M, seed)
-    return MeasureFlow.from_record(record, tag="iterate", initial_law=flow.initial_law)
+    return frozen_law(config, model, flow, M, seed, tag="iterate")
+
+
+def frozen_law(config: SimConfig, model: ModelSpec, flow: MeasureFlow, M: int,
+               seed: int, tag: str = "") -> MeasureFlow:
+    """Empirical law of M paths driven by the frozen flow, kept from the
+    rows each step sorts anyway, so no record is kept or sorted again."""
+    values = np.empty((config.steps + 1, M))
+
+    def keep(k, x, xs):
+        values[k] = xs
+
+    simulate_frozen(config, model, flow, M, seed, observe=keep, record=False)
+    return MeasureFlow(config.times, values, tag=tag, initial_law=flow.initial_law,
+                       presorted=True)
 
 
 @dataclass

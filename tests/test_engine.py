@@ -165,10 +165,13 @@ class TestInteracting:
         assert (err.particle, err.step, err.t) == (3, 5, 0.05)
         assert str(err) == str(BlowUpError(3, 5, 0.05))
 
+    @pytest.mark.parametrize("run", ["interacting", "coupled"])
     @pytest.mark.parametrize("name", ["linear-cached-read-only-sigma", "sqrt"])
-    def test_steps_equal_the_expression_form_bitwise(self, name):
-        # the engine writes the update in place; an in-test loop of the plain
-        # expression is the reference, and a coefficient's array is never written
+    def test_steps_equal_the_expression_form_bitwise(self, name, run):
+        # the engine writes the update in place, using the step's draw as
+        # scratch; an in-test loop of the plain expression is the reference,
+        # a coefficient's array is never written, and a coupled twin's noise
+        # is not overwritten by its interacting system's update
         cfg = SimConfig(T=0.3, dt=0.01, N=9001, seed=12)
         if name == "sqrt":
             mdl = make_sqrt_model()
@@ -176,17 +179,28 @@ class TestInteracting:
             cached = np.full(cfg.N, 0.3)
             cached.flags.writeable = False
             mdl = replace(make_linear_model(), sigma=lambda t, x: cached)
-        x = GAUSS.sample(cfg.seed, cfg.N)
-        expect = [x]
+        flow = oracle_mean_flow(cfg, mdl, GAUSS)
+
+        def step(x, t, mu, z):
+            drift = mdl.drift(t, x, mu) + mdl.path_drift(t, None, mu)
+            return x + drift * cfg.dt + mdl.sigma(t, x) * np.sqrt(cfg.dt) * z
+
+        x = twin = GAUSS.sample(cfg.seed, cfg.N)
+        expect, expect_twin = [x], [twin]
         for k in range(cfg.steps):
             t = k * cfg.dt
-            mu = EmpiricalMeasure(np.sort(x), presorted=True)
-            drift = mdl.drift(t, x, mu) + mdl.path_drift(t, None, mu)
             z = rng.normals(cfg.seed, rng.STREAM_DRIVE, k, cfg.N)
-            x = x + drift * cfg.dt + mdl.sigma(t, x) * np.sqrt(cfg.dt) * z
+            x = step(x, t, EmpiricalMeasure(np.sort(x), presorted=True), z)
+            twin = step(twin, t, flow.measure_at(k), z)
             expect.append(x)
-        rec = simulate_interacting(cfg, mdl, GAUSS)
-        assert rec.values.tobytes() == np.array(expect).tobytes()
+            expect_twin.append(twin)
+        if run == "interacting":
+            got = simulate_interacting(cfg, mdl, GAUSS).values
+        else:
+            rec = simulate_coupled(cfg, mdl, flow, GAUSS)
+            got = rec.interacting.values
+            assert rec.limit.values.tobytes() == np.array(expect_twin).tobytes()
+        assert got.tobytes() == np.array(expect).tobytes()
         if name != "sqrt":
             assert np.all(cached == 0.3)
 

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,20 @@ class TestApplyPhi:
         a = apply_phi(cfg, mdl, flow, M=64, seed=9)
         b = apply_phi(cfg, mdl, flow, M=64, seed=9)
         assert np.array_equal(a.values, b.values)
+
+    def test_keeps_no_record_beside_the_flow(self):
+        mdl = make_linear_model()
+        cfg = SimConfig(T=1.0, dt=0.01, N=4, seed=0)
+        flow = oracle_mean_flow(cfg, mdl, GAUSS)
+        tracemalloc.start()
+        try:
+            out = apply_phi(cfg, mdl, flow, M=8192, seed=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the flow and one step's temporaries; a whole record sorted again took twice the flow
+        assert peak < 1.5 * out.values.nbytes
+        assert out.tag == "iterate" and out.initial_law == GAUSS
 
     def test_needs_two_paths(self):
         mdl = make_linear_model()
