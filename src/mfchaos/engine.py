@@ -19,10 +19,18 @@ rows sees either its rows' own empirical laws or a shared measure flow.
 Every row goes through the same per-row operations as a system stepped
 alone (sorted-row mean, `x + drift*dt + sig*sqdt*z`), so stacking never
 changes a bit.
+
+`_run` steps on the caller's thread. Where one draw holds at least
+`_AHEAD_MIN` values, it draws step k+1's increments on one helper thread
+while step k runs. The helper lives only as long as the call, and since a
+draw is a pure function of (seed, stream, step), the thread it runs on
+changes no bit.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -430,6 +438,12 @@ def _increments(seeds, k: int, ids, n_streams: int) -> np.ndarray:
 
 _OWN_LAW = ((Ellipsis, None),)   # every row sees its own empirical law
 
+# Draws of at least this many values per seed go to `_run`'s helper thread.
+# Overlapping the rate sweep's steps, 20 draws of at most 4,096 values each,
+# cost CPU time; the threshold sits between those and the reference build and
+# sim-sqrt, which gained. It picks only where a draw runs, never what it holds.
+_AHEAD_MIN = 1 << 15
+
 
 def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
          groups=_OWN_LAW, observe=None, record: bool = True) -> np.ndarray | None:
@@ -442,6 +456,10 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
     every grid time k, the last one included, with xs sorted row by row.
     Returns the record, shaped (steps + 1,) + the ensemble's shape, unless
     record is False.
+
+    With at least _AHEAD_MIN streams, step k+1's increments are drawn on
+    one helper thread while step k runs; the helper is joined before `_run`
+    returns or raises, and draws no step beyond the last.
     """
     span = model.delay_measure.span   # atoms are read where declared, so all must fit
     if span > config.r + 1e-12:
@@ -454,41 +472,46 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
         ids = None
     stacked = ensemble.current.ndim == 2
     k0 = ensemble.step_index
+    end = k0 + config.steps
     new = np.empty_like(ensemble.current)   # advance copies it into the ring buffer
     out = None
     if record:
         out = np.empty((config.steps + 1,) + ensemble.current.shape)
         out[0] = ensemble.current
-    for k in range(k0, k0 + config.steps):
-        t = k * dt
-        x = ensemble.current
-        xs = None
-        if observe is not None:
-            xs = np.sort(x, axis=-1)
-            observe(k, x, xs)
-        z = _increments(seeds, k, ids, n_streams)
-        for rows, flow in groups:
-            if flow is not None:
-                mu = flow.measure_at(k)
-            else:
-                own = xs[rows] if xs is not None else np.sort(x[rows], axis=-1)
-                mu = EmpiricalMeasure(own, presorted=True, stacked=stacked)
-            drift, sig = _eval_coeffs(model, t, x[rows], ensemble.batch(rows), mu)
-            # new = x + drift*dt + sig*sqdt*z with the same roundings (+ and * commute);
-            # z is this step's own draw, so its rows serve as the scratch
-            upd, zr = new[rows], z[rows]
-            np.multiply(sig, sqdt, out=upd)
-            upd *= zr
-            np.multiply(drift, dt, out=zr)
-            zr += x[rows]
-            upd += zr
-            _check_advanced(x[rows], drift, sig, upd, k, t)
-        ensemble.advance(new)
-        if record:
-            out[k - k0 + 1] = new
+    with ThreadPoolExecutor(max_workers=1) if n_streams >= _AHEAD_MIN else nullcontext() as helper:
+        drawn = None
+        for k in range(k0, end):
+            z = drawn.result() if drawn else _increments(seeds, k, ids, n_streams)
+            if helper and k + 1 < end:
+                drawn = helper.submit(_increments, seeds, k + 1, ids, n_streams)
+            t = k * dt
+            x = ensemble.current
+            xs = None
+            if observe is not None:
+                xs = np.sort(x, axis=-1)
+                observe(k, x, xs)
+            for rows, flow in groups:
+                if flow is not None:
+                    mu = flow.measure_at(k)
+                else:
+                    own = xs[rows] if xs is not None else np.sort(x[rows], axis=-1)
+                    mu = EmpiricalMeasure(own, presorted=True, stacked=stacked)
+                drift, sig = _eval_coeffs(model, t, x[rows], ensemble.batch(rows), mu)
+                # new = x + drift*dt + sig*sqdt*z with the same roundings (+ and * commute);
+                # z is this step's own draw, so its rows serve as the scratch
+                upd, zr = new[rows], z[rows]
+                np.multiply(sig, sqdt, out=upd)
+                upd *= zr
+                np.multiply(drift, dt, out=zr)
+                zr += x[rows]
+                upd += zr
+                _check_advanced(x[rows], drift, sig, upd, k, t)
+            ensemble.advance(new)
+            if record:
+                out[k - k0 + 1] = new
     if observe is not None:
         x = ensemble.current
-        observe(k0 + config.steps, x, np.sort(x, axis=-1))
+        observe(end, x, np.sort(x, axis=-1))
     return out
 
 

@@ -1,3 +1,4 @@
+import sys
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfchaos import chaos, rng, solver
+from mfchaos import chaos, engine, rng, solver
 from mfchaos.chaos import (RunDiagnostics, _one_coupled_run, build_reference_flow,
                            coupling_error_curve, estimate_chaos_rate, fit_loglog,
                            marginal_tv_study, oracle_mean_flow,
@@ -143,6 +144,23 @@ class TestChaosRate:
         assert np.array_equal(a.error_mean, b.error_mean)
         assert a.slope == b.slope
         assert [d.seed for d in a.runs] == [d.seed for d in b.runs]
+
+    def test_worker_count_invariance_across_the_draw_ahead_size(self):
+        # criterion 10 where N reaches _AHEAD_MIN: that N draws each step's
+        # noise on its run's helper thread, in every per-N worker thread
+        # too, here with the interpreter switching threads far more often
+        mdl = make_linear_model()
+        cfg = SimConfig(T=0.03, dt=0.01, N=64, seed=2024)
+        ref = build_reference_flow(cfg, mdl, GAUSS, M=512)
+        N_list = [engine._AHEAD_MIN // 16, engine._AHEAD_MIN // 4, engine._AHEAD_MIN]
+        one = estimate_chaos_rate(cfg, mdl, N_list, 2, ref, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            two = estimate_chaos_rate(cfg, mdl, N_list, 2, ref, workers=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert repr(one.runs) == repr(two.runs)
 
     def test_interacting_half_of_coupled_run_matches_plain(self, linear_setup):
         # the sweep records coupled runs; their interacting halves are the

@@ -1,4 +1,5 @@
 import pickle
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfchaos import rng
+from mfchaos import engine, rng
 from mfchaos.engine import (BlowUpError, BoundedParetoLaw, ConstantLaw, EngineError,
                             GaussianLaw, ParticleEnsemble, SimConfig,
                             WideSummary, make_initial_law, sample_initial,
@@ -165,14 +166,18 @@ class TestInteracting:
         assert (err.particle, err.step, err.t) == (3, 5, 0.05)
         assert str(err) == str(BlowUpError(3, 5, 0.05))
 
-    @pytest.mark.parametrize("run", ["interacting", "coupled"])
-    @pytest.mark.parametrize("name", ["linear-cached-read-only-sigma", "sqrt"])
-    def test_steps_equal_the_expression_form_bitwise(self, name, run):
+    @pytest.mark.parametrize("name, run, N, T", [
+        pytest.param(name, run, N, T, id=f"{name}-{run}{size}")
+        for N, T, size in [(9001, 0.3, ""), (engine._AHEAD_MIN, 0.04, "-drawn-ahead")]
+        for name in ["linear-cached-read-only-sigma", "sqrt"]
+        for run in ["interacting", "frozen", "coupled"]])
+    def test_steps_equal_the_expression_form_bitwise(self, name, run, N, T):
         # the engine writes the update in place, using the step's draw as
         # scratch; an in-test loop of the plain expression is the reference,
         # a coefficient's array is never written, and a coupled twin's noise
-        # is not overwritten by its interacting system's update
-        cfg = SimConfig(T=0.3, dt=0.01, N=9001, seed=12)
+        # is not overwritten by its interacting system's update; from
+        # _AHEAD_MIN streams on, each next step's draw is made on a helper thread
+        cfg = SimConfig(T=T, dt=0.01, N=N, seed=12)
         if name == "sqrt":
             mdl = make_sqrt_model()
         else:
@@ -196,6 +201,9 @@ class TestInteracting:
             expect_twin.append(twin)
         if run == "interacting":
             got = simulate_interacting(cfg, mdl, GAUSS).values
+        elif run == "frozen":
+            got = simulate_frozen(cfg, mdl, flow, cfg.N, cfg.seed).values
+            expect = expect_twin
         else:
             rec = simulate_coupled(cfg, mdl, flow, GAUSS)
             got = rec.interacting.values
@@ -233,6 +241,55 @@ class TestInteracting:
         cfg = SimConfig(T=10.0, dt=0.01, N=512, seed=0)
         rec = simulate_interacting(cfg, mdl, GAUSS)
         assert (rec.values ** 2).mean(axis=1).max() <= pin
+
+
+class TestDrawAhead:
+    """From _AHEAD_MIN streams on, `_run` draws step k+1's increments on a
+    helper thread while step k runs; the helper never outlives the run."""
+
+    N = engine._AHEAD_MIN
+
+    @staticmethod
+    def spy(monkeypatch) -> list:
+        """Every rng.normals call as (stream, step, thread ident)."""
+        draws = []
+        normals = rng.normals
+
+        def spying(seed, stream, step, n):
+            draws.append((stream, step, threading.get_ident()))
+            return normals(seed, stream, step, n)
+
+        monkeypatch.setattr(rng, "normals", spying)
+        return draws
+
+    def test_one_drive_draw_per_step_and_none_beyond(self, monkeypatch):
+        draws = self.spy(monkeypatch)
+        cfg = SimConfig(T=0.05, dt=0.01, N=self.N, seed=3)
+        simulate_interacting(cfg, make_sqrt_model(), GAUSS, record=False)
+        drive = [(k, who) for stream, k, who in draws if stream == rng.STREAM_DRIVE]
+        assert sorted(k for k, _ in drive) == list(range(cfg.steps))
+        assert any(who != threading.get_ident() for _, who in drive)   # drawn ahead
+
+    def test_blow_up_with_a_draw_in_flight_names_the_same_particle_and_step(self, monkeypatch):
+        cubic = replace(make_linear_model(sigma0=1.0),
+                        drift=lambda t, x, mu: np.asarray(x, dtype=float) ** 3)
+        cfg = SimConfig(T=1.0, dt=0.1, N=self.N, seed=8)
+
+        def blow_up() -> BlowUpError:
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as exc:
+                simulate_interacting(cfg, cubic, ConstantLaw(1.0), record=False)
+            return exc.value
+
+        threads = threading.active_count()
+        draws = self.spy(monkeypatch)
+        ahead = blow_up()
+        assert threading.active_count() == threads
+        assert ahead.step < cfg.steps - 1
+        # the next step's draw was in flight when the step blew up
+        assert max(k for stream, k, _ in draws if stream == rng.STREAM_DRIVE) == ahead.step + 1
+        monkeypatch.setattr(engine, "_AHEAD_MIN", self.N + 1)
+        in_step = blow_up()
+        assert (ahead.particle, ahead.step, ahead.t) == (in_step.particle, in_step.step, in_step.t)
 
 
 class TestFrozen:
