@@ -146,18 +146,38 @@ def _w1_upper_bound(reference: MeasureFlow, N: int):
     return lambda k, xs: np.abs(xs - skel[k]).mean(axis=1) + slack[k]
 
 
+def _replica_seeds(master_seed: int, N: int, replicas: int) -> list[int]:
+    return [rng.derive_seed(master_seed, N, r) for r in range(replicas)]
+
+
+def _pairing_sups(config: SimConfig, model: ModelSpec, reference: MeasureFlow, N: int,
+                  seeds, observe=None) -> np.ndarray:
+    """Every replica at one N, as one coupled stack: each replica's sup-t
+    pairing gap, taken from the unsorted state as it steps, so no
+    trajectory is kept. observe(k, x, xs), if given, sees every grid time
+    first, as `_run`'s hook does."""
+    K = len(seeds)
+    pairing_sup = np.zeros(K)
+
+    def score(k, x, xs):
+        if observe is not None:
+            observe(k, x, xs)
+        np.maximum(pairing_sup, np.abs(x[:K] - x[K:]).mean(axis=1), out=pairing_sup)
+
+    coupled_stack(replace(config, N=N), model, reference, seeds, observe=score, record=False)
+    return pairing_sup
+
+
 def _one_coupled_run(config: SimConfig, model: ModelSpec, reference: MeasureFlow,
                      N: int, replicas: int, master_seed: int) -> list[RunDiagnostics]:
-    """Every replica at one N, as one coupled stack scored while it steps.
+    """Every replica at one N, scored in W1 and in the pairing gap while it steps.
 
     Replica r runs with seed derive_seed(master_seed, N, r). At each grid
-    time the sorted stack the step builds is scored against the reference,
-    and the pairing gap is taken from the unsorted state, so no trajectory
-    is kept. A row gets its O(M) exact W1 only where `_w1_upper_bound` lets its sup rise.
+    time the sorted stack the step builds is scored against the reference.
+    A row gets its O(M) exact W1 only where `_w1_upper_bound` lets its sup rise.
     """
-    seeds = [rng.derive_seed(master_seed, N, r) for r in range(replicas)]
+    seeds = _replica_seeds(master_seed, N, replicas)
     w1_sup = np.zeros(2 * replicas)    # interacting rows, then their twins
-    pairing_sup = np.zeros(replicas)
     bound = _w1_upper_bound(reference, N)
 
     def score(k, x, xs):
@@ -166,10 +186,8 @@ def _one_coupled_run(config: SimConfig, model: ModelSpec, reference: MeasureFlow
         live = bound(k, xs) * (1 + 1e-9) >= w1_sup
         if live.any():
             w1_sup[live] = np.maximum(w1_sup[live], reference.w1_at(k, xs[live]))
-        gap = np.abs(x[:replicas] - x[replicas:]).mean(axis=1)
-        np.maximum(pairing_sup, gap, out=pairing_sup)
 
-    coupled_stack(replace(config, N=N), model, reference, seeds, observe=score, record=False)
+    pairing_sup = _pairing_sups(config, model, reference, N, seeds, observe=score)
     hat, tld, pair = w1_sup[:replicas].tolist(), w1_sup[replicas:].tolist(), pairing_sup.tolist()
     return [RunDiagnostics(N=N, replica=r, seed=seed, w1_sup=hat[r], pairing_sup=pair[r],
                            limit_w1_sup=tld[r], triangle_ok=hat[r] <= pair[r] + tld[r] + 1e-12)
@@ -193,19 +211,23 @@ def _check_increasing(N_list) -> None:
         raise ValueError("ensemble sizes must be strictly increasing")
 
 
-def _coupled_sweep(config: SimConfig, model: ModelSpec, reference: MeasureFlow,
-                   N_list, replicas: int, workers: int = 1) -> list[RunDiagnostics]:
+def _check_sweep(N_list, replicas: int) -> None:
+    """The coupled sweeps also need a standard error per N."""
     _check_increasing(N_list)
     if replicas < 2:
         raise ValueError("need at least two replicas for standard errors")
+
+
+def _coupled_sweep(config: SimConfig, model: ModelSpec, reference: MeasureFlow,
+                   N_list, replicas: int, workers: int = 1) -> list[RunDiagnostics]:
+    _check_sweep(N_list, replicas)
     per_n = _per_n(lambda N: _one_coupled_run(config, model, reference, N, replicas, config.seed),
                    N_list, workers)
     return [d for runs in per_n for d in runs]
 
 
-def _per_n_stats(N_list, runs, field: str) -> tuple[np.ndarray, np.ndarray]:
-    """Replica mean and standard error of one RunDiagnostics field per N."""
-    per_n = [[getattr(d, field) for d in runs if d.N == n] for n in N_list]
+def _mean_stderr(per_n) -> tuple[np.ndarray, np.ndarray]:
+    """Replica mean and standard error of each N's values."""
     return (np.array([np.mean(v) for v in per_n]),
             np.array([np.std(v, ddof=1) / np.sqrt(len(v)) for v in per_n]))
 
@@ -219,7 +241,7 @@ def estimate_chaos_rate(config_base: SimConfig, model: ModelSpec, N_list, replic
     if len(N_list) < 3:
         raise ValueError("need at least three ensemble sizes to fit a rate")
     runs = _coupled_sweep(config_base, model, reference, N_list, replicas, workers)
-    means, stderrs = _per_n_stats(N_list, runs, "w1_sup")
+    means, stderrs = _mean_stderr([[d.w1_sup for d in runs if d.N == n] for n in N_list])
     slope, intercept, sst = fit_loglog(N_list, means)
     return RateReport(N_list=N_list, error_mean=means, error_stderr=stderrs,
                       slope=slope, intercept=intercept, slope_stderr=sst,
@@ -232,20 +254,23 @@ class CouplingReport:
     error_mean: np.ndarray     # per-N replica mean of sup_t pairing error
     error_stderr: np.ndarray
     slope: float
-    runs: list[RunDiagnostics]
 
     write_csv = RateReport.write_csv
 
 
 def coupling_error_curve(config_base: SimConfig, model: ModelSpec, reference: MeasureFlow,
                          N_list, replicas: int, workers: int = 1) -> CouplingReport:
-    """Per-N sup-t pathwise gap between each particle and its mean-field twin."""
+    """Per-N sup-t pathwise gap between each particle and its mean-field
+    twin, on the rate sweep's seeds and stacks; no W1 is computed."""
     N_list = [int(n) for n in N_list]
-    runs = _coupled_sweep(config_base, model, reference, N_list, replicas, workers)
-    means, stderrs = _per_n_stats(N_list, runs, "pairing_sup")
+    _check_sweep(N_list, replicas)
+    seed = config_base.seed
+    gaps = _per_n(lambda N: _pairing_sups(config_base, model, reference, N,
+                                          _replica_seeds(seed, N, replicas)),
+                  N_list, workers)
+    means, stderrs = _mean_stderr(gaps)
     slope = fit_loglog(N_list, means)[0] if len(N_list) >= 3 and np.all(means > 0) else float("nan")
-    return CouplingReport(N_list=N_list, error_mean=means, error_stderr=stderrs,
-                          slope=slope, runs=runs)
+    return CouplingReport(N_list=N_list, error_mean=means, error_stderr=stderrs, slope=slope)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +319,7 @@ def marginal_tv_study(config_base: SimConfig, model: ModelSpec, reference: Measu
         k_idx.append(k)
 
     def run_pool(N: int) -> dict[int, np.ndarray]:
-        seeds = [rng.derive_seed(config_base.seed, N, rep) for rep in range(replicas)]
+        seeds = _replica_seeds(config_base.seed, N, replicas)
         cfg = replace(config_base, N=N)
         ens = ParticleEnsemble.from_law(cfg, reference.initial_law, seed=seeds)
         pools = {}

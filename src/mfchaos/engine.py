@@ -20,11 +20,13 @@ Every row goes through the same per-row operations as a system stepped
 alone (sorted-row mean, `x + drift*dt + sig*sqdt*z`), so stacking never
 changes a bit.
 
-`_run` steps on the caller's thread. Where one draw holds at least
-`_AHEAD_MIN` values, it draws step k+1's increments on one helper thread
-while step k runs. The helper lives only as long as the call, and since a
-draw is a pure function of (seed, stream, step), the thread it runs on
-changes no bit.
+`_run` steps on the caller's thread. Where one step draws at least
+`_AHEAD_MIN` values, counted over the distinct seeds of a stack, it draws
+step k+1's increments on one helper thread while step k runs: `simulate` at
+large N, the reference build and the rate sweep's largest stacks. The
+helper fills one of two buffers the caller allocated, lives only as long as
+the call, and since a draw is a pure function of (seed, stream, step), the
+thread it runs on changes no bit.
 """
 
 from __future__ import annotations
@@ -421,27 +423,39 @@ def _check_advanced(x, drift, sig, new, k: int, t: float) -> None:
     raise BlowUpError(bad, k, t)
 
 
-def _increments(seeds, k: int, ids, n_streams: int) -> np.ndarray:
-    """Brownian increments of step k: one row per seed, or one system for a
-    single seed. Rows with equal seeds draw once but each gets its own copy:
-    the array is fresh and no two rows share memory, since `_run` overwrites
-    it as scratch."""
-    def draw(seed):
-        z = rng.normals(seed, rng.STREAM_DRIVE, k, n_streams)
-        return z if ids is None else z[ids]
+def _increments(seeds, k: int, ids, n_streams: int, out: np.ndarray) -> np.ndarray:
+    """Fill out with the Brownian increments of step k and return it: one row
+    per seed, or one system for a single seed. Each distinct seed is drawn
+    straight into its first row and later rows with that seed copy it, so no
+    two rows share memory: `_run` overwrites out as scratch."""
+    def draw(seed, row):
+        if ids is None:
+            rng.normals(seed, rng.STREAM_DRIVE, k, n_streams, out=row)
+        else:
+            row[...] = rng.normals(seed, rng.STREAM_DRIVE, k, n_streams)[ids]
 
     if np.ndim(seeds) == 0:
-        return draw(seeds)
-    shared = {s: draw(s) for s in dict.fromkeys(seeds)}
-    return np.array([shared[s] for s in seeds])
+        draw(seeds, out)
+        return out
+    first = {}
+    for i, s in enumerate(seeds):
+        if s in first:
+            out[i] = out[first[s]]
+        else:
+            first[s] = i
+            draw(s, out[i])
+    return out
 
 
 _OWN_LAW = ((Ellipsis, None),)   # every row sees its own empirical law
 
-# Draws of at least this many values per seed go to `_run`'s helper thread.
-# Overlapping the rate sweep's steps, 20 draws of at most 4,096 values each,
-# cost CPU time; the threshold sits between those and the reference build and
-# sim-sqrt, which gained. It picks only where a draw runs, never what it holds.
+# Steps that draw at least this many values, over a stack's distinct seeds,
+# are drawn ahead on `_run`'s helper thread. Overlapping the rate sweep costs
+# CPU time, since its two threads hand the interpreter lock back and forth
+# around every draw: its stacks of 20 seeds up to N = 1024 (at most 20,480
+# values per step) lost wall time too when overlapped, while from N = 2048
+# (40,960) on, and in the reference build and sim-sqrt, wall time fell. It
+# picks only where a draw runs, never what it holds.
 _AHEAD_MIN = 1 << 15
 
 
@@ -457,9 +471,10 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
     Returns the record, shaped (steps + 1,) + the ensemble's shape, unless
     record is False.
 
-    With at least _AHEAD_MIN streams, step k+1's increments are drawn on
-    one helper thread while step k runs; the helper is joined before `_run`
-    returns or raises, and draws no step beyond the last.
+    Where one step draws at least _AHEAD_MIN values (distinct seeds times
+    streams), step k+1's increments are drawn on one helper thread while
+    step k runs; the helper is joined before `_run` returns or raises, and
+    draws no step beyond the last.
     """
     span = model.delay_measure.span   # atoms are read where declared, so all must fit
     if span > config.r + 1e-12:
@@ -478,12 +493,18 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
     if record:
         out = np.empty((config.steps + 1,) + ensemble.current.shape)
         out[0] = ensemble.current
-    with ThreadPoolExecutor(max_workers=1) if n_streams >= _AHEAD_MIN else nullcontext() as helper:
+    ahead = (1 if np.ndim(seeds) == 0 else len(set(seeds))) * n_streams >= _AHEAD_MIN
+    # step k's increments land in zs[k % len(zs)]: one buffer, or two when the
+    # helper fills the next step's while this step uses its own as scratch.
+    # They are allocated on this thread: arrays the helper allocated would
+    # grow its own malloc arena and the peak RSS with it.
+    zs = [np.empty_like(new) for _ in range(2 if ahead else 1)]
+    with ThreadPoolExecutor(max_workers=1) if ahead else nullcontext() as helper:
         drawn = None
         for k in range(k0, end):
-            z = drawn.result() if drawn else _increments(seeds, k, ids, n_streams)
+            z = drawn.result() if drawn else _increments(seeds, k, ids, n_streams, zs[k % len(zs)])
             if helper and k + 1 < end:
-                drawn = helper.submit(_increments, seeds, k + 1, ids, n_streams)
+                drawn = helper.submit(_increments, seeds, k + 1, ids, n_streams, zs[(k + 1) % 2])
             t = k * dt
             x = ensemble.current
             xs = None

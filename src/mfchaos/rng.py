@@ -60,15 +60,19 @@ def _philox(seed: int, stream: int, step: int) -> np.random.Generator:
     return gen
 
 
-def uniforms(seed: int, stream: int, step: int, n: int) -> np.ndarray:
-    """n uniforms in the open interval (0, 1), pure in (seed, stream, step, i)."""
+def uniforms(seed: int, stream: int, step: int, n: int, out=None) -> np.ndarray:
+    """n uniforms in the open interval (0, 1), pure in (seed, stream, step, i).
+
+    out, if given, is a contiguous float64 array of n values; it is filled
+    and returned, with the same bits as a fresh draw."""
     # random() is k * 2^-53 for the k of integers(0, 2^53), and + 2^-54 rounds as k + 0.5
-    u = _philox(seed, stream, step).random(n)
+    u = _philox(seed, stream, step).random(n, out=out)
     u += 0.5 / _U53
     return u
 
 
-def normals(seed: int, stream: int, step: int, n: int) -> np.ndarray:
-    """n standard normals via inverse CDF; element i depends only on its index."""
-    u = uniforms(seed, stream, step, n)
+def normals(seed: int, stream: int, step: int, n: int, out=None) -> np.ndarray:
+    """n standard normals via inverse CDF; element i depends only on its index.
+    out is that of `uniforms`."""
+    u = uniforms(seed, stream, step, n, out=out)
     return ndtri(u, out=u)

@@ -368,8 +368,8 @@ class TestCouplingCurve:
 
     def test_triangle_inequality_exact_per_run(self, linear_setup):
         mdl, ref = linear_setup
-        cup = coupling_error_curve(CFG, mdl, ref, N_SMALL, 8)
-        for d in cup.runs:
+        rep = estimate_chaos_rate(CFG, mdl, N_SMALL, 8, ref)
+        for d in rep.runs:
             assert d.w1_sup <= d.pairing_sup + d.limit_w1_sup + 1e-12
 
 

@@ -18,7 +18,7 @@ from mfchaos.model import (ModelSpec, make_delay_model, make_linear_model,
 from mfchaos.measures import EmpiricalMeasure
 from mfchaos.paths import DelayMeasure
 from mfchaos.solver import MeasureFlow
-from mfchaos.chaos import oracle_mean_flow
+from mfchaos.chaos import _one_coupled_run, oracle_mean_flow
 
 
 GAUSS = GaussianLaw(1.0, 0.5)
@@ -244,10 +244,15 @@ class TestInteracting:
 
 
 class TestDrawAhead:
-    """From _AHEAD_MIN streams on, `_run` draws step k+1's increments on a
-    helper thread while step k runs; the helper never outlives the run."""
+    """From _AHEAD_MIN values per step on, `_run` draws step k+1's increments
+    on a helper thread while step k runs; the helper never outlives the run."""
 
     N = engine._AHEAD_MIN
+    # a stack that reaches _AHEAD_MIN only per step: 4 seeds of 2^13 streams,
+    # each seed on two rows as in a coupled stack
+    SEEDS = [21, 22, 23, 24]
+    ROWS = SEEDS * 2
+    ROW = engine._AHEAD_MIN // 4
 
     @staticmethod
     def spy(monkeypatch) -> list:
@@ -255,9 +260,9 @@ class TestDrawAhead:
         draws = []
         normals = rng.normals
 
-        def spying(seed, stream, step, n):
+        def spying(seed, stream, step, n, out=None):
             draws.append((stream, step, threading.get_ident()))
-            return normals(seed, stream, step, n)
+            return normals(seed, stream, step, n, out=out)
 
         monkeypatch.setattr(rng, "normals", spying)
         return draws
@@ -288,6 +293,58 @@ class TestDrawAhead:
         # the next step's draw was in flight when the step blew up
         assert max(k for stream, k, _ in draws if stream == rng.STREAM_DRIVE) == ahead.step + 1
         monkeypatch.setattr(engine, "_AHEAD_MIN", self.N + 1)
+        in_step = blow_up()
+        assert (ahead.particle, ahead.step, ahead.t) == (in_step.particle, in_step.step, in_step.t)
+
+    def stack(self, cfg, law):
+        return ParticleEnsemble.from_law(cfg, law, seed=self.ROWS)
+
+    def test_stack_draws_ahead_per_step_and_none_beyond(self, monkeypatch):
+        draws = self.spy(monkeypatch)
+        cfg = SimConfig(T=0.05, dt=0.01, N=self.ROW, seed=3)
+        engine._run(cfg, make_sqrt_model(), self.stack(cfg, GAUSS), self.ROWS, record=False)
+        drive = [(k, who) for stream, k, who in draws if stream == rng.STREAM_DRIVE]
+        # one draw per distinct seed and step, and none beyond the last step
+        assert sorted(k for k, _ in drive) == sorted(list(range(cfg.steps)) * len(self.SEEDS))
+        assert any(who != threading.get_ident() for _, who in drive)   # drawn ahead
+        # one of those seeds alone stays below the gate and draws on the caller's thread
+        draws.clear()
+        simulate_interacting(cfg, make_sqrt_model(), GAUSS, record=False)
+        assert {who for stream, _, who in draws} == {threading.get_ident()}
+
+    def test_stack_drawn_ahead_is_bitwise_the_stack_drawn_in_step(self, monkeypatch):
+        mdl = make_linear_model()
+        cfg = SimConfig(T=0.1, dt=0.01, N=self.ROW, seed=5)
+        ref = oracle_mean_flow(cfg, mdl, GAUSS)
+
+        def both():
+            return (engine.coupled_stack(cfg, mdl, ref, self.SEEDS),
+                    _one_coupled_run(cfg, mdl, ref, self.ROW, len(self.SEEDS), cfg.seed))
+
+        ahead_values, ahead_runs = both()
+        monkeypatch.setattr(engine, "_AHEAD_MIN", 2 * len(self.SEEDS) * self.ROW + 1)
+        in_step_values, in_step_runs = both()
+        assert ahead_values.tobytes() == in_step_values.tobytes()
+        assert repr(ahead_runs) == repr(in_step_runs)
+
+    def test_stack_blow_up_with_a_draw_in_flight_joins_the_helper(self, monkeypatch):
+        cubic = replace(make_linear_model(sigma0=1.0),
+                        drift=lambda t, x, mu: np.asarray(x, dtype=float) ** 3)
+        cfg = SimConfig(T=1.0, dt=0.1, N=self.ROW, seed=8)
+
+        def blow_up() -> BlowUpError:
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as exc:
+                engine._run(cfg, cubic, self.stack(cfg, ConstantLaw(1.0)), self.ROWS,
+                            record=False)
+            return exc.value
+
+        threads = threading.active_count()
+        draws = self.spy(monkeypatch)
+        ahead = blow_up()
+        assert threading.active_count() == threads
+        assert ahead.step < cfg.steps - 1
+        assert max(k for stream, k, _ in draws if stream == rng.STREAM_DRIVE) == ahead.step + 1
+        monkeypatch.setattr(engine, "_AHEAD_MIN", len(self.SEEDS) * self.ROW + 1)
         in_step = blow_up()
         assert (ahead.particle, ahead.step, ahead.t) == (in_step.particle, in_step.step, in_step.t)
 

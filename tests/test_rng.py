@@ -31,6 +31,15 @@ def test_uniforms_match_the_integer_formula_bitwise(n):
         assert 0.0 < got.min() and got.max() < 1.0
 
 
+@pytest.mark.parametrize("n", [1, 5, 4096, 131_072])
+def test_out_is_filled_and_returned_bitwise(n):
+    for draw in (rng.uniforms, rng.normals):
+        fresh = draw(20260810, rng.STREAM_DRIVE, 3, n)
+        buf = np.full(n, np.nan)
+        assert draw(20260810, rng.STREAM_DRIVE, 3, n, out=buf) is buf
+        assert buf.tobytes() == fresh.tobytes()
+
+
 def shuffled_cases(seed, count=120):
     pick = random.Random(seed)
     return [(pick.choice([0, 1, 7, 20260810, 2 ** 63 + 5]), pick.choice([0, 1, 7]),
