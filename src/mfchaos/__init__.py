@@ -10,11 +10,11 @@ cli (command-line front end).
 __version__ = "0.1.0"
 
 from .paths import DelayMeasure, Segment, l1m_norm, uniform_norm
-from .measures import EmpiricalMeasure, empirical_coupling_bound, pinsker_check, tv_estimate, w1
+from .measures import EmpiricalMeasure, pinsker_check, tv_estimate, w1
 from .model import ModelSpec, check_assumptions, make_model
 from .yamada import make_yamada, mollifier_error_bound, mollify_sigma
-from .engine import (SimConfig, sample_initial, simulate_coupled, simulate_frozen,
-                     simulate_interacting, simulate_mollified, step_interacting)
+from .engine import (SimConfig, simulate_coupled, simulate_frozen, simulate_interacting,
+                     simulate_mollified, step_interacting)
 from .solver import MeasureFlow, apply_phi, rho_metric, solve_fixed_point
 from .chaos import (coupling_error_curve, estimate_chaos_rate, fit_loglog,
                     marginal_tv_study, stability_perturbation_test,
@@ -22,11 +22,11 @@ from .chaos import (coupling_error_curve, estimate_chaos_rate, fit_loglog,
 
 __all__ = [
     "DelayMeasure", "Segment", "l1m_norm", "uniform_norm",
-    "EmpiricalMeasure", "empirical_coupling_bound", "pinsker_check", "tv_estimate", "w1",
+    "EmpiricalMeasure", "pinsker_check", "tv_estimate", "w1",
     "ModelSpec", "check_assumptions", "make_model",
     "make_yamada", "mollifier_error_bound", "mollify_sigma",
-    "SimConfig", "sample_initial", "simulate_coupled", "simulate_frozen",
-    "simulate_interacting", "simulate_mollified", "step_interacting",
+    "SimConfig", "simulate_coupled", "simulate_frozen", "simulate_interacting",
+    "simulate_mollified", "step_interacting",
     "MeasureFlow", "apply_phi", "rho_metric", "solve_fixed_point",
     "coupling_error_curve", "estimate_chaos_rate", "fit_loglog",
     "marginal_tv_study", "stability_perturbation_test", "theoretical_exponent",

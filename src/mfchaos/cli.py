@@ -123,7 +123,7 @@ class RunConfig:
         return self._convert(key, lambda s: int(str(s), 0), "an integer")
 
     def get_bool(self, key: str) -> bool:
-        return self._convert(key, lambda s: bool(int(s)), "0 or 1")
+        return self._convert(key, lambda s: ("0", "1").index(s.strip()) == 1, "0 or 1")
 
     def get_floats(self, key: str) -> list[float]:
         return self._convert(key, lambda s: [float(x) for x in str(s).split(",") if x.strip()],
@@ -153,7 +153,8 @@ class RunConfig:
             )
         except ValueError as e:
             msg = str(e)
-            key = "sim.dt" if "horizon" in msg else ("sim.r" if "delay" in msg else "sim")
+            field = msg.split()[0].rstrip(":")   # SimConfig names the field or grid at fault first
+            key = {"horizon": "sim.dt", "delay": "sim.r"}.get(field, "sim." + field)
             raise ConfigError(f"key {key!r}: {msg}") from e
 
     def model(self) -> model_mod.ModelSpec:

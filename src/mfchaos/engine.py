@@ -40,7 +40,7 @@ import numpy as np
 from . import rng
 from .measures import EmpiricalMeasure
 from .model import ModelError, ModelSpec
-from .paths import DelayMeasure, Segment, _ratio_as_int
+from .paths import DelayMeasure, _ratio_as_int
 from .table import write_table
 from .yamada import mollify_sigma
 
@@ -165,15 +165,6 @@ def make_initial_law(name: str, **params):
     return INITIAL_LAWS[name](**params)
 
 
-def sample_initial(ensemble_size: int, initial_law, seed: int,
-                   r: float = 0.0, h: float = 1.0) -> list[Segment]:
-    """i.i.d. initial segments with constant history; draw i is a pure
-    function of (seed, i)."""
-    vals = initial_law.sample(seed, ensemble_size)
-    width = (_ratio_as_int(r, h, "delay") if r > 0 else 0) + 1
-    return [Segment(r, h, np.full(width, v)) for v in vals]
-
-
 # ---------------------------------------------------------------------------
 # ensemble state
 
@@ -221,13 +212,6 @@ class SegmentBatch:
         for s, w in zip(m.locations, m.weights):
             out += w * self.value_at(float(s))
         return out
-
-    def segment(self, i: int) -> Segment:
-        if self._head == 0:
-            vals = self._buf[i].copy()
-        else:
-            vals = np.concatenate([self._buf[i, self._head:], self._buf[i, :self._head]])
-        return Segment(self.r, self.h, vals)
 
 
 class ParticleEnsemble:
@@ -349,9 +333,6 @@ class PathRecord:
     @property
     def means(self) -> np.ndarray:
         return self.values.mean(axis=1)
-
-    def snapshot(self, k: int) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.values[k])
 
     def write_csv(self, path, form: str = "long") -> None:
         if form not in RECORD_FORMS:

@@ -18,8 +18,8 @@ class EmpiricalMeasure:
     """Uniformly weighted sample set, stored sorted.
 
     With stacked=True the samples are a (K, n) array of K sample sets, one
-    per row; `mean`, `integrate` and `moment` then give (K, 1) columns,
-    each row reduced exactly as a set of its own would be.
+    per row; `mean` is then a (K, 1) column, each row reduced exactly as a
+    set of its own would be.
     """
 
     __slots__ = ("samples", "_mean")
@@ -41,24 +41,14 @@ class EmpiricalMeasure:
     def n(self) -> int:
         return self.samples.shape[-1]
 
-    def _average(self, values):
-        values = np.asarray(values)
-        if self.samples.ndim == 1:
-            return float(values.mean())
-        return values.mean(axis=1, keepdims=True)
-
     @property
     def mean(self):
         if self._mean is None:
-            self._mean = self._average(self.samples)
+            if self.samples.ndim == 1:
+                self._mean = float(self.samples.mean())
+            else:
+                self._mean = self.samples.mean(axis=1, keepdims=True)
         return self._mean
-
-    def integrate(self, f):
-        """Mean of f over the samples (f vectorized over ndarray)."""
-        return self._average(f(self.samples))
-
-    def moment(self, p: float):
-        return self._average(np.abs(self.samples) ** p)
 
     def __repr__(self) -> str:
         if self.samples.ndim == 2:
@@ -123,60 +113,6 @@ def w1_sorted(xs: np.ndarray, ys: np.ndarray) -> float:
 def w1(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
     """Exact 1-d Wasserstein-1 distance between two empirical measures."""
     return w1_sorted(mu.samples, nu.samples)
-
-
-class PiecewiseLinearLipschitz:
-    """Piecewise-linear test function with all slopes clipped to [-1, 1].
-
-    1-Lipschitz by construction, which is what makes it admissible for the
-    dual (adjoint) lower bound on W1.
-    """
-
-    __slots__ = ("knots", "values")
-
-    def __init__(self, knots, start_value: float, slopes):
-        k = np.asarray(knots, dtype=float)
-        s = np.asarray(slopes, dtype=float)
-        if k.ndim != 1 or len(k) < 2 or np.any(np.diff(k) <= 0):
-            raise ValueError("knots must be strictly increasing, at least two")
-        if s.shape != (len(k) - 1,):
-            raise ValueError("need one slope per knot interval")
-        s = np.clip(s, -1.0, 1.0)
-        vals = np.concatenate([[start_value], start_value + np.cumsum(s * np.diff(k))])
-        self.knots = k
-        self.values = vals
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        # constant extension keeps the function 1-Lipschitz
-        return np.interp(x, self.knots, self.values)
-
-
-def w1_dual_lower_bound(mu: EmpiricalMeasure, nu: EmpiricalMeasure, test_functions) -> float:
-    """sup over the supplied 1-Lipschitz family of |mu(f) - nu(f)|.
-
-    Always a lower bound for w1(mu, nu) by the dual representation.
-    """
-    best = 0.0
-    for f in test_functions:
-        best = max(best, abs(mu.integrate(f) - nu.integrate(f)))
-    return best
-
-
-def empirical_coupling_bound(x, y) -> tuple[float, float]:
-    """(w1 of the two empirical measures, mean gap of the given pairing).
-
-    The identity pairing is one admissible coupling, so the first return
-    value never exceeds the second; this is asserted.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("need two equal-length 1-d sample arrays")
-    value = w1_sorted(np.sort(x), np.sort(y))
-    pairing = float(np.abs(x - y).mean())
-    assert value <= pairing + 1e-12
-    return value, pairing
 
 
 def freedman_diaconis_width(samples: np.ndarray) -> float:

@@ -3,9 +3,10 @@
 A ModelSpec bundles the state drift b(t, x, mu), the path drift
 B(t, segment, mu), the diffusion sigma(t, x) and the constants the model
 claims to satisfy: a one-sided constant K_b for b, a Lipschitz constant
-K_B for B (against the declared segment norm plus W1 in the measure), and
-a Hoelder pair (K_sigma, alpha) for sigma. `check_assumptions` probes the
-claims on random tuples; it can only certify that no violation was found.
+K_B for B (against the segment's L1 norm under the delay measure plus W1
+in the measure), and a Hoelder pair (K_sigma, alpha) for sigma.
+`check_assumptions` probes the claims on random tuples; it can only
+certify that no violation was found.
 
 Coefficients are vectorized: x may be an ndarray (one entry per particle)
 and the segment argument may be a batch; the measure argument is a single
@@ -19,13 +20,13 @@ broadcasts row by row. Coefficients must act elementwise across rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .measures import EmpiricalMeasure, w1
-from .paths import DelayMeasure, Segment, l1m_norm, uniform_norm
+from .paths import DelayMeasure, Segment, l1m_norm
 
 
 class ModelError(Exception):
@@ -46,10 +47,8 @@ class ModelSpec:
     K_sigma: float
     alpha: float
     delay_measure: DelayMeasure
-    hb_norm_variant: str = "l1m"      # segment norm in the path-drift bound
     moment_order: float = 4.0         # declared p of the initial data
     sigma_sq_floor: float = 0.0       # declared ellipticity floor, 0 = none
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (0.5 <= self.alpha <= 1.0):
@@ -58,15 +57,8 @@ class ModelSpec:
             raise ValueError("K_B and K_sigma must be non-negative")
         if not np.isfinite([self.K_b, self.K_B, self.K_sigma]).all():
             raise ValueError("declared constants must be finite")
-        if self.hb_norm_variant not in ("uniform", "l1m"):
-            raise ValueError(f"unknown norm variant {self.hb_norm_variant!r}")
         if not (self.moment_order > 1):
             raise ValueError(f"moment order must exceed 1, got {self.moment_order!r}")
-
-    def segment_norm(self, seg: Segment) -> float:
-        if self.hb_norm_variant == "uniform":
-            return uniform_norm(seg)
-        return l1m_norm(seg, self.delay_measure)
 
 
 def _checked(name, t, out):
@@ -111,9 +103,8 @@ def make_linear_model(a: float = -1.0, c: float = 0.5, sigma0: float = 0.2,
     return ModelSpec(
         name="linear", drift=drift, path_drift=path_drift, sigma=sigma,
         K_b=max(a, 0.0) + abs(c), K_B=0.0, K_sigma=abs(sigma0), alpha=alpha,
-        delay_measure=DelayMeasure.dirac(0.0), hb_norm_variant="l1m",
-        moment_order=p, sigma_sq_floor=sigma_sq_floor,
-        params={"a": a, "c": c, "sigma0": sigma0},
+        delay_measure=DelayMeasure.dirac(0.0), moment_order=p,
+        sigma_sq_floor=sigma_sq_floor,
     )
 
 
@@ -141,9 +132,7 @@ def make_sqrt_model(kappa: float = 1.0, theta: float = 1.0, c: float = 0.5,
     return ModelSpec(
         name="sqrt", drift=drift, path_drift=path_drift, sigma=sigma,
         K_b=max(-kappa, abs(c)), K_B=0.0, K_sigma=abs(sigma0), alpha=alpha,
-        delay_measure=DelayMeasure.dirac(0.0), hb_norm_variant="l1m",
-        moment_order=p,
-        params={"kappa": kappa, "theta": theta, "c": c, "sigma0": sigma0},
+        delay_measure=DelayMeasure.dirac(0.0), moment_order=p,
     )
 
 
@@ -175,9 +164,7 @@ def make_delay_model(beta: float = 1.0, r: float = 1.0, a: float = 0.0,
     return ModelSpec(
         name="delay", drift=drift, path_drift=path_drift, sigma=sigma,
         K_b=max(a, 0.0), K_B=abs(beta), K_sigma=abs(sigma0), alpha=alpha,
-        delay_measure=dm, hb_norm_variant="l1m", moment_order=p,
-        sigma_sq_floor=sigma0 ** 2,
-        params={"beta": beta, "r": r, "a": a, "sigma0": sigma0, "m": m, "atoms": atoms},
+        delay_measure=dm, moment_order=p, sigma_sq_floor=sigma0 ** 2,
     )
 
 
@@ -230,9 +217,13 @@ class AssumptionReport:
         yield ("zero_point_bounds", float("nan"), "", self.bounds_ok)
 
 
-def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), t_grid=None,
-                      sample_count: int = 10_000, seed: int = 0,
-                      tol: float = 1e-9, measure_size: int = 8) -> AssumptionReport:
+_T_GRID = np.linspace(0.0, 1.0, 11)   # audit times
+_TOL = 1e-9                            # slack before a sampled excess counts as a violation
+_MEASURE_SIZE = 8                      # atoms of each random empirical measure
+
+
+def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), sample_count: int = 10_000,
+                      seed: int = 0) -> AssumptionReport:
     """Probe the declared constants on random (t, x, y, mu, nu) tuples.
 
     Pairs include near-coincident points (spacings down to 1e-8 of the box)
@@ -241,9 +232,6 @@ def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), t_grid=None,
     lo, hi = float(box[0]), float(box[1])
     if not lo < hi:
         raise ValueError("box must satisfy lo < hi")
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 1.0, 11)
-    t_grid = np.asarray(t_grid, dtype=float)
     rng = np.random.default_rng(seed)
     width = hi - lo
 
@@ -263,7 +251,7 @@ def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), t_grid=None,
     log_pairs = []
 
     for i in range(sample_count):
-        t = float(rng.choice(t_grid))
+        t = float(rng.choice(_T_GRID))
         x = lo + width * rng.random()
         if i % 3 == 0:
             # near pair at a log-uniform spacing
@@ -276,8 +264,8 @@ def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), t_grid=None,
             y = 0.0
         else:
             y = lo + width * rng.random()
-        mu = EmpiricalMeasure(lo + width * rng.random(measure_size))
-        nu = EmpiricalMeasure(lo + width * rng.random(measure_size))
+        mu = EmpiricalMeasure(lo + width * rng.random(_MEASURE_SIZE))
+        nu = EmpiricalMeasure(lo + width * rng.random(_MEASURE_SIZE))
         wmn = w1(mu, nu)
         dx = abs(x - y)
 
@@ -307,7 +295,7 @@ def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), t_grid=None,
             xi, eta = rand_segment(), rand_segment()
             dB = abs(float(eval_path_drift(model, t, xi, mu))
                      - float(eval_path_drift(model, t, eta, nu)))
-            norm = model.segment_norm(xi - eta) + wmn
+            norm = l1m_norm(xi - eta, model.delay_measure) + wmn
             if norm > 0:
                 ratio = dB / norm
                 if ratio > k_B_hat:
@@ -319,10 +307,10 @@ def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), t_grid=None,
     zero_seg = Segment(r if r > 0 else 0.0, h, np.zeros(seg_len if r > 0 else 1))
     delta0 = EmpiricalMeasure([0.0])
     bounds_ok = True
-    for t in t_grid:
-        if abs(float(eval_sigma(model, float(t), 0.0))) > model.K_sigma + tol:
+    for t in _T_GRID:
+        if abs(float(eval_sigma(model, float(t), 0.0))) > model.K_sigma + _TOL:
             bounds_ok = False
-        if abs(float(eval_path_drift(model, float(t), zero_seg, delta0))) > model.K_B + tol:
+        if abs(float(eval_path_drift(model, float(t), zero_seg, delta0))) > model.K_B + _TOL:
             bounds_ok = False
 
     # Hoelder exponent estimate: slope of the upper envelope of |dsigma|
@@ -344,8 +332,8 @@ def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), t_grid=None,
 
     return AssumptionReport(
         K_b_hat=k_b_hat, K_B_hat=k_B_hat, K_sigma_hat=k_sig_hat, alpha_hat=alpha_hat,
-        drift_ok=drift_viol <= tol, path_drift_ok=path_viol <= tol,
-        sigma_ok=sig_viol <= tol, bounds_ok=bounds_ok,
+        drift_ok=drift_viol <= _TOL, path_drift_ok=path_viol <= _TOL,
+        sigma_ok=sig_viol <= _TOL, bounds_ok=bounds_ok,
         witnesses={k: v for k, v in worst.items()},
-        sample_count=sample_count, tol=tol,
+        sample_count=sample_count, tol=_TOL,
     )

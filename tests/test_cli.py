@@ -38,6 +38,8 @@ BAD_INPUT = {
     "simulate-negative-workers": ("simulate", "--set", "sim.workers=-1"),
     "chaos-rate-zero-workers": ("chaos-rate", "--set", "sim.workers=0"),
     "chaos-rate-negative-workers": ("chaos-rate", "--set", "sim.workers=-1"),
+    "common-noise-two": ("solve", "--set", "solve.common_noise=2"),
+    "common-noise-negative": ("solve", "--set", "solve.common_noise=-1"),
 }
 
 # `simulate` runs whose wide record.csv is summarized as they step; N is
@@ -79,6 +81,13 @@ class TestConfigParsing:
     def test_dt_not_dividing_T_names_dt(self):
         rc = parse_config(None, {"sim.dt": "0.3"})
         with pytest.raises(ConfigError, match="sim.dt"):
+            rc.sim_config()
+
+    @pytest.mark.parametrize("key,value", [("sim.N", "0"), ("sim.dt", "0"), ("sim.T", "0"),
+                                           ("sim.r", "-1")])
+    def test_bad_grid_value_names_its_key(self, key, value):
+        rc = parse_config(None, {key: value})
+        with pytest.raises(ConfigError, match=f"^key '{key}': "):
             rc.sim_config()
 
     def test_alpha_out_of_range_cites_interval(self):

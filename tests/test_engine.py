@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mfchaos import engine, rng
 from mfchaos.engine import (BlowUpError, BoundedParetoLaw, ConstantLaw, EngineError,
                             GaussianLaw, ParticleEnsemble, SimConfig,
-                            WideSummary, make_initial_law, sample_initial,
+                            WideSummary, make_initial_law,
                             simulate_coupled, simulate_frozen,
                             simulate_interacting, simulate_mollified)
 from mfchaos.model import (ModelSpec, make_delay_model, make_linear_model,
@@ -45,22 +45,16 @@ class TestSimConfig:
 
 class TestSampleInitial:
     def test_constant_sampler(self):
-        segs = sample_initial(5, ConstantLaw(3.0), seed=0, r=0.5, h=0.25)
-        for s in segs:
-            assert np.array_equal(s.values, np.full(3, 3.0))
+        assert np.array_equal(ConstantLaw(3.0).sample(0, 5), np.full(5, 3.0))
 
     def test_gaussian_determinism_and_distinctness(self):
-        a = sample_initial(8, GAUSS, seed=42)
-        b = sample_initial(8, GAUSS, seed=42)
-        assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
-        vals = [s.values[0] for s in a]
-        assert len(set(vals)) == len(vals)
+        a = GAUSS.sample(42, 8)
+        assert np.array_equal(a, GAUSS.sample(42, 8))
+        assert len(set(a.tolist())) == len(a)
 
     def test_prefix_stability(self):
         # draw i depends only on (seed, i), not on the ensemble size
-        a = [s.values[0] for s in sample_initial(4, GAUSS, seed=1)]
-        b = [s.values[0] for s in sample_initial(16, GAUSS, seed=1)]
-        assert np.array_equal(a, b[:4])
+        assert np.array_equal(GAUSS.sample(1, 4), GAUSS.sample(1, 16)[:4])
 
     def test_pareto_moment_against_closed_form(self):
         law = BoundedParetoLaw(tail=1.5, lo=0.5, hi=50.0)
@@ -477,12 +471,6 @@ class TestMollified:
 
 
 class TestRecord:
-    def test_snapshot_is_row_empirical_measure(self):
-        cfg = SimConfig(T=0.2, dt=0.1, N=16, seed=0)
-        rec = simulate_interacting(cfg, make_linear_model(), GAUSS)
-        snap = rec.snapshot(2)
-        assert np.array_equal(snap.samples, np.sort(rec.values[2]))
-
     def test_csv_round_trip_values(self, tmp_path):
         cfg = SimConfig(T=0.2, dt=0.1, N=3, seed=0)
         rec = simulate_interacting(cfg, make_linear_model(), GAUSS)
@@ -550,10 +538,10 @@ class TestEnsemble:
     def test_ring_buffer_matches_segments(self):
         ens = ParticleEnsemble(r=0.4, dt=0.2, init_values=np.array([1.0, 2.0]))
         ens.advance(np.array([10.0, 20.0]))
-        seg0 = ens.batch().segment(0)
-        assert np.array_equal(seg0.values, [1.0, 1.0, 10.0])
-        assert ens.batch().value_at(-0.4)[1] == 2.0
-        assert ens.batch().value_at(0.0)[1] == 20.0
+        batch = ens.batch()
+        assert [batch.value_at(s)[0] for s in (-0.4, -0.2, 0.0)] == [1.0, 1.0, 10.0]
+        assert batch.value_at(-0.4)[1] == 2.0
+        assert batch.value_at(0.0)[1] == 20.0
 
     def test_integral_against_dirac(self):
         ens = ParticleEnsemble(r=0.5, dt=0.25, init_values=np.array([3.0]))
