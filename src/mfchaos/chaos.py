@@ -9,7 +9,9 @@ the synchronous-coupling quantities, so the exact per-run triangle
 inequality through the i.i.d.-copies empirical measure is checked for free.
 
 Every experiment steps stacks through the engine's one loop (all replicas
-of one N together), and sweeps over N share one thread pool (`_per_n`).
+of one N together). Sweeps over N share one dispatch (`_per_n`): each
+worker steps its own copy of the reference and its share of N in one time
+loop, so a sweep holds one reference row at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .engine import (ConstantLaw, GaussianLaw, ParticleEnsemble, SimConfig, coup
                      simulate_interacting)
 from .engine import simulate_coupled  # noqa: F401  (perfbench/tracer.py wraps it by this name)
 from .model import ModelSpec
-from .solver import MeasureFlow, frozen_law
+from .solver import FrozenFlow, MeasureFlow, StreamedFlow
 from .table import write_table
 from .measures import EmpiricalMeasure, tv_estimate
 
@@ -83,16 +85,17 @@ def oracle_mean_flow(config: SimConfig, model: ModelSpec, initial_law) -> Measur
 
 
 def build_reference_flow(config: SimConfig, model: ModelSpec, initial_law, M: int,
-                         seed: int | None = None) -> MeasureFlow:
+                         seed: int | None = None) -> FrozenFlow:
     """M-sample reference: paths frozen to the oracle mean flow.
 
     For the zoo models the frozen dynamics at the mean flow coincide with
     the mean-field limit of the scheme, so this is an M-sample draw of the
-    limit law at every grid time.
+    limit law at every grid time. Only the mean flow is stepped here: the
+    sweeps step the M paths alongside their runs, one row at a time.
     """
     seed = rng.derive_seed(config.seed, _REF_STREAM) if seed is None else seed
     mean_flow = oracle_mean_flow(config, model, initial_law)
-    return frozen_law(config, model, mean_flow, M, seed, tag=f"reference-M{M}")
+    return FrozenFlow(config, model, mean_flow, M, seed, tag=f"reference-M{M}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +142,16 @@ class RateReport:
 def _w1_upper_bound(reference: MeasureFlow, N: int):
     """bound(k, xs) >= W1(reference at k, row) for each row of a sorted (K, N)
     stack, in O(N) per row: W1(row, ref) <= W1(row, skel) + W1(skel, ref) for
-    skel the reference's N quantile midpoints (sorted for any N and M). The
-    first term is the mean gap of two sorted rows; the second is one W1 curve."""
-    skel = reference.values[:, (2 * np.arange(N) + 1) * reference.m // (2 * N)]
-    slack = MeasureFlow(reference.times, skel, presorted=True).w1_curve(reference)
-    return lambda k, xs: np.abs(xs - skel[k]).mean(axis=1) + slack[k]
+    skel the reference's N quantile midpoints at k (sorted for any N and M).
+    The first term is the mean gap of two sorted rows; the second is one
+    exact W1 row, read from the reference at k alone."""
+    at = (2 * np.arange(N) + 1) * reference.m // (2 * N)
+
+    def bound(k, xs):
+        skel = reference.measure_at(k).samples[at]
+        gaps = xs - skel
+        return np.abs(gaps, out=gaps).mean(axis=1) + reference.w1_at(k, skel[None])[0]
+    return bound
 
 
 def _replica_seeds(master_seed: int, N: int, replicas: int) -> list[int]:
@@ -151,11 +159,12 @@ def _replica_seeds(master_seed: int, N: int, replicas: int) -> list[int]:
 
 
 def _pairing_sups(config: SimConfig, model: ModelSpec, reference: MeasureFlow, N: int,
-                  seeds, observe=None) -> np.ndarray:
-    """Every replica at one N, as one coupled stack: each replica's sup-t
-    pairing gap, taken from the unsorted state as it steps, so no
-    trajectory is kept. observe(k, x, xs), if given, sees every grid time
-    first, as `_run`'s hook does."""
+                  seeds, observe=None):
+    """Every replica at one N, as one coupled stack stepped lazily: a stepper
+    (`engine._run`'s) whose result is each replica's sup-t pairing gap,
+    taken from the unsorted state as it steps, so no trajectory is kept.
+    observe(k, x, xs), if given, sees every grid time first, as `_run`'s
+    hook does."""
     K = len(seeds)
     pairing_sup = np.zeros(K)
 
@@ -164,17 +173,20 @@ def _pairing_sups(config: SimConfig, model: ModelSpec, reference: MeasureFlow, N
             observe(k, x, xs)
         np.maximum(pairing_sup, np.abs(x[:K] - x[K:]).mean(axis=1), out=pairing_sup)
 
-    coupled_stack(replace(config, N=N), model, reference, seeds, observe=score, record=False)
+    yield from coupled_stack(replace(config, N=N), model, reference, seeds, observe=score,
+                             record=False, lazy=True)
     return pairing_sup
 
 
 def _one_coupled_run(config: SimConfig, model: ModelSpec, reference: MeasureFlow,
-                     N: int, replicas: int, master_seed: int) -> list[RunDiagnostics]:
-    """Every replica at one N, scored in W1 and in the pairing gap while it steps.
+                     N: int, replicas: int, master_seed: int):
+    """Every replica at one N, scored in W1 and in the pairing gap while it
+    steps: a stepper whose result is one RunDiagnostics per replica.
 
     Replica r runs with seed derive_seed(master_seed, N, r). At each grid
-    time the sorted stack the step builds is scored against the reference.
-    A row gets its O(M) exact W1 only where `_w1_upper_bound` lets its sup rise.
+    time the sorted stack the step builds is scored against the reference,
+    which is read at that grid time only. A row gets its O(M) exact W1 only
+    where `_w1_upper_bound` lets its sup rise.
     """
     seeds = _replica_seeds(master_seed, N, replicas)
     w1_sup = np.zeros(2 * replicas)    # interacting rows, then their twins
@@ -187,22 +199,83 @@ def _one_coupled_run(config: SimConfig, model: ModelSpec, reference: MeasureFlow
         if live.any():
             w1_sup[live] = np.maximum(w1_sup[live], reference.w1_at(k, xs[live]))
 
-    pairing_sup = _pairing_sups(config, model, reference, N, seeds, observe=score)
+    pairing_sup = yield from _pairing_sups(config, model, reference, N, seeds, observe=score)
     hat, tld, pair = w1_sup[:replicas].tolist(), w1_sup[replicas:].tolist(), pairing_sup.tolist()
     return [RunDiagnostics(N=N, replica=r, seed=seed, w1_sup=hat[r], pairing_sup=pair[r],
                            limit_w1_sup=tld[r], triangle_ok=hat[r] <= pair[r] + tld[r] + 1e-12)
             for r, seed in enumerate(seeds)]
 
 
-def _per_n(task, sizes, workers: int) -> list:
-    """task(N) for each N in sizes, in that order; with workers > 1 on one
-    thread pool, largest N first."""
-    if workers <= 1:
-        return [task(N) for N in sizes]
-    order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = {i: pool.submit(task, sizes[i]) for i in order}
-    return [futs[i].result() for i in range(len(sizes))]
+def _shares(sizes, workers: int) -> list[list[int]]:
+    """Indices into sizes, split into at most `workers` shares: largest N
+    first, each onto the share with the least total N so far."""
+    loads = [0] * min(workers, len(sizes))
+    shares = [[] for _ in loads]
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += sizes[i]
+    return [sorted(share) for share in shares]
+
+
+def _per_n(run, reference: MeasureFlow, sizes, workers: int) -> list:
+    """The result of run(flow, N) for each N in sizes, in that order.
+
+    run(flow, N) returns a stepper (`engine._run`'s protocol) that reads
+    flow at grid time k only while it takes that grid time. Each share of
+    sizes (`_shares`) runs on a thread of its own, or on this one if there
+    is one share, and steps its own copy of the reference with its runs
+    (`_lockstep`). A failing reference raises at once; otherwise, once every
+    run is closed, the failure of the first failing N in sizes is raised.
+    """
+    if not sizes:
+        return []
+    shares = _shares(sizes, workers)
+    if len(shares) == 1:
+        outcomes = [_lockstep(run, reference, sizes, shares[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+            futs = [pool.submit(_lockstep, run, reference, sizes, share) for share in shares]
+        outcomes = [f.result() for f in futs]
+    results, errors = {}, {}
+    for done, failures in outcomes:
+        results.update(done)
+        errors.update(failures)
+    if errors:
+        raise errors[min(errors)]
+    return [results[i] for i in range(len(sizes))]
+
+
+def _lockstep(run, reference: MeasureFlow, sizes, share) -> tuple[dict, dict]:
+    """Step one copy of the reference and run(flow, N) for each index of the
+    share, one grid time at a time, smaller N first: at grid time k every
+    run reads the reference's row k, which is then dropped. Returns each
+    run's result and each run's exception by index. Once a run fails, the
+    share's runs of larger index are closed, since their outcome cannot be
+    reported; a failing reference raises, after every run is closed."""
+    flow = StreamedFlow(reference)
+    runs, results, errors = {}, {}, {}
+    try:
+        runs.update((i, run(flow, sizes[i])) for i in share)
+        for _ in range(reference.steps + 1):
+            flow.advance()
+            for i in list(runs):
+                if errors and i > min(errors):
+                    runs.pop(i).close()
+                    continue
+                try:
+                    next(runs[i])
+                except StopIteration as end:
+                    results[i] = end.value
+                    del runs[i]
+                except Exception as e:
+                    errors[i] = e
+                    del runs[i]
+    finally:
+        for stepper in runs.values():
+            stepper.close()
+        flow.close()
+    return results, errors
 
 
 def _check_increasing(N_list) -> None:
@@ -221,8 +294,9 @@ def _check_sweep(N_list, replicas: int) -> None:
 def _coupled_sweep(config: SimConfig, model: ModelSpec, reference: MeasureFlow,
                    N_list, replicas: int, workers: int = 1) -> list[RunDiagnostics]:
     _check_sweep(N_list, replicas)
-    per_n = _per_n(lambda N: _one_coupled_run(config, model, reference, N, replicas, config.seed),
-                   N_list, workers)
+    per_n = _per_n(lambda flow, N: _one_coupled_run(config, model, flow, N, replicas,
+                                                    config.seed),
+                   reference, N_list, workers)
     return [d for runs in per_n for d in runs]
 
 
@@ -265,9 +339,9 @@ def coupling_error_curve(config_base: SimConfig, model: ModelSpec, reference: Me
     N_list = [int(n) for n in N_list]
     _check_sweep(N_list, replicas)
     seed = config_base.seed
-    gaps = _per_n(lambda N: _pairing_sups(config_base, model, reference, N,
-                                          _replica_seeds(seed, N, replicas)),
-                  N_list, workers)
+    gaps = _per_n(lambda flow, N: _pairing_sups(config_base, model, flow, N,
+                                                _replica_seeds(seed, N, replicas)),
+                  reference, N_list, workers)
     means, stderrs = _mean_stderr(gaps)
     slope = fit_loglog(N_list, means)[0] if len(N_list) >= 3 and np.all(means > 0) else float("nan")
     return CouplingReport(N_list=N_list, error_mean=means, error_stderr=stderrs, slope=slope)
@@ -318,23 +392,23 @@ def marginal_tv_study(config_base: SimConfig, model: ModelSpec, reference: Measu
             raise ValueError(f"study time {t!r} is not on the simulation grid")
         k_idx.append(k)
 
-    def run_pool(N: int) -> dict[int, np.ndarray]:
+    def run_study(flow, N: int):
         seeds = _replica_seeds(config_base.seed, N, replicas)
         cfg = replace(config_base, N=N)
         ens = ParticleEnsemble.from_law(cfg, reference.initial_law, seed=seeds)
-        pools = {}
+        row = np.empty(len(times))
 
-        def keep(k, x, xs):
-            if k in k_idx:
-                pools[k] = x.flatten()   # a copy: x is a view of the ring buffer
-        engine._run(cfg, model, ens, seeds, observe=keep, record=False)
-        return pools
+        def compare(k, x, xs):
+            for j, kj in enumerate(k_idx):
+                if kj == k:   # x pooled over replicas, against the reference's row k
+                    row[j] = tv_estimate(EmpiricalMeasure(x.flatten()), flow.measure_at(k),
+                                         bin_width)
+        yield from engine._run(cfg, model, ens, seeds, observe=compare, record=False, lazy=True)
+        return row
 
     table = np.empty((len(N_list), len(times)))
-    for i, pools in enumerate(_per_n(run_pool, N_list, workers)):
-        for j, k in enumerate(k_idx):
-            ref = reference.measure_at(k)
-            table[i, j] = tv_estimate(EmpiricalMeasure(pools[k]), ref, bin_width)
+    for i, row in enumerate(_per_n(run_study, reference, N_list, workers)):
+        table[i] = row
     return TvStudyReport(N_list=N_list, times=times, table=table)
 
 

@@ -441,32 +441,88 @@ _AHEAD_MIN = 1 << 15
 
 
 def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
-         groups=_OWN_LAW, observe=None, record: bool = True) -> np.ndarray | None:
+         groups=_OWN_LAW, observe=None, record: bool = True, lazy: bool = False):
     """The Euler-Maruyama loop: config.steps steps from the ensemble's step counter.
 
     The ensemble is one system (seeds is then one seed) or a (K, N) stack
     whose row i is driven by seeds[i]. Each group (rows, flow) names the
     measure its rows see: flow.measure_at(k), or with flow None each row's
     own empirical law. observe(k, x, xs), if given, sees the state x at
-    every grid time k, the last one included, with xs sorted row by row.
+    every grid time k, the last one included, with xs sorted row by row;
+    the next step overwrites both, so an observer copies what it keeps.
     Returns the record, shaped (steps + 1,) + the ensemble's shape, unless
     record is False.
 
+    With lazy True nothing is stepped yet: the run comes back as a stepper,
+    a generator that takes one grid time per `next`. It observes grid time k
+    and steps to k + 1, then yields; at the last grid time it observes and
+    ends, StopIteration carrying what the eager call returns (`_drain`). So
+    several runs can advance in step, each reading a flow at grid time k
+    only while it takes that step. Closing a stepper part way joins its
+    helper.
+
     Where one step draws at least _AHEAD_MIN values (distinct seeds times
     streams), step k+1's increments are drawn on one helper thread while
-    step k runs; the helper is joined before `_run` returns or raises, and
-    draws no step beyond the last.
+    step k runs; the helper is joined before the run ends or raises, and
+    draws no step beyond the last. A draw the helper has not started when
+    its step comes is taken back and made on the stepping thread.
     """
     span = model.delay_measure.span   # atoms are read where declared, so all must fit
     if span > config.r + 1e-12:
         raise EngineError(f"model delay measure reaches lag -{span} but config.r = {config.r}")
-    dt = config.dt
+    stepper = _steps(config, model, ensemble, seeds, groups, observe, record)
+    return stepper if lazy else _drain(stepper)
+
+
+def _drain(stepper):
+    """Step a lazy run to its end and return its result."""
+    while True:
+        try:
+            next(stepper)
+        except StopIteration as end:
+            return end.value
+
+
+def _observe(observe, k, x, xs):
+    xs[...] = x
+    xs.sort(axis=-1)   # in place, as np.sort sorts its copy
+    observe(k, x, xs)
+
+
+def _step(model, ensemble, groups, observe, k, dt, z, new, xs):
+    """Observe grid time k, sorting into the run's buffer xs, and write step
+    k's update into new."""
+    t = k * dt
     sqdt = np.sqrt(dt)
+    x = ensemble.current
+    if observe is not None:
+        _observe(observe, k, x, xs)
+    for rows, flow in groups:
+        if flow is not None:
+            mu = flow.measure_at(k)
+        else:
+            own = xs[rows] if observe is not None else np.sort(x[rows], axis=-1)
+            mu = EmpiricalMeasure(own, presorted=True, stacked=x.ndim == 2)
+        drift, sig = _eval_coeffs(model, t, x[rows], ensemble.batch(rows), mu)
+        # new = x + drift*dt + sig*sqdt*z with the same roundings (+ and * commute);
+        # z is this step's own draw, so its rows serve as the scratch
+        upd, zr = new[rows], z[rows]
+        np.multiply(sig, sqdt, out=upd)
+        upd *= zr
+        np.multiply(drift, dt, out=zr)
+        zr += x[rows]
+        upd += zr
+        _check_advanced(x[rows], drift, sig, upd, k, t)
+        del drift, sig   # gone before the next group's: fewer large arrays alive at once
+
+
+def _steps(config, model, ensemble, seeds, groups, observe, record):
+    """`_run`'s stepper: one grid time per `next`."""
+    dt = config.dt
     ids = ensemble.stream_ids
     n_streams = int(ids.max()) + 1
     if n_streams == len(ids) and np.array_equal(ids, np.arange(n_streams)):
         ids = None
-    stacked = ensemble.current.ndim == 2
     k0 = ensemble.step_index
     end = k0 + config.steps
     new = np.empty_like(ensemble.current)   # advance copies it into the ring buffer
@@ -480,40 +536,27 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
     # They are allocated on this thread: arrays the helper allocated would
     # grow its own malloc arena and the peak RSS with it.
     zs = [np.empty_like(new) for _ in range(2 if ahead else 1)]
+    # each grid time is sorted into this one buffer, so a step allocates no
+    # sorted stack and no two are ever alive
+    xs = np.empty_like(new) if observe is not None else None
     with ThreadPoolExecutor(max_workers=1) if ahead else nullcontext() as helper:
         drawn = None
         for k in range(k0, end):
-            z = drawn.result() if drawn else _increments(seeds, k, ids, n_streams, zs[k % len(zs)])
+            # a draw the helper never started is made here, into the same buffer:
+            # on a busy host the step does not wait for a thread that is not running
+            if drawn is not None and not drawn.cancel():
+                z = drawn.result()
+            else:
+                z = _increments(seeds, k, ids, n_streams, zs[k % len(zs)])
             if helper and k + 1 < end:
                 drawn = helper.submit(_increments, seeds, k + 1, ids, n_streams, zs[(k + 1) % 2])
-            t = k * dt
-            x = ensemble.current
-            xs = None
-            if observe is not None:
-                xs = np.sort(x, axis=-1)
-                observe(k, x, xs)
-            for rows, flow in groups:
-                if flow is not None:
-                    mu = flow.measure_at(k)
-                else:
-                    own = xs[rows] if xs is not None else np.sort(x[rows], axis=-1)
-                    mu = EmpiricalMeasure(own, presorted=True, stacked=stacked)
-                drift, sig = _eval_coeffs(model, t, x[rows], ensemble.batch(rows), mu)
-                # new = x + drift*dt + sig*sqdt*z with the same roundings (+ and * commute);
-                # z is this step's own draw, so its rows serve as the scratch
-                upd, zr = new[rows], z[rows]
-                np.multiply(sig, sqdt, out=upd)
-                upd *= zr
-                np.multiply(drift, dt, out=zr)
-                zr += x[rows]
-                upd += zr
-                _check_advanced(x[rows], drift, sig, upd, k, t)
+            _step(model, ensemble, groups, observe, k, dt, z, new, xs)
             ensemble.advance(new)
             if record:
                 out[k - k0 + 1] = new
+            yield k
     if observe is not None:
-        x = ensemble.current
-        observe(end, x, np.sort(x, axis=-1))
+        _observe(observe, end, ensemble.current, xs)
     return out
 
 
@@ -546,10 +589,10 @@ def simulate_interacting(config: SimConfig, model: ModelSpec, initial_law,
 
 
 def simulate_frozen(config: SimConfig, model: ModelSpec, flow, n_paths: int,
-                    seed: int, observe=None, record: bool = True) -> PathRecord | None:
+                    seed: int, observe=None, record: bool = True, lazy: bool = False):
     """Independent paths driven by a frozen measure flow instead of the
     ensemble's own law. observe and record are those of `_run`; with
-    record False nothing is returned."""
+    record False nothing is returned, and with lazy True the run's stepper."""
     if flow.steps != config.steps or abs(flow.times[-1] - config.T) > 1e-12:
         raise EngineError("measure flow grid does not match the simulation grid")
     if flow.initial_law is None:
@@ -557,19 +600,19 @@ def simulate_frozen(config: SimConfig, model: ModelSpec, flow, n_paths: int,
     cfg = replace(config, N=n_paths, seed=seed)
     ens = ParticleEnsemble.from_law(cfg, flow.initial_law, seed=seed)
     values = _run(cfg, model, ens, seed, groups=((Ellipsis, flow),), observe=observe,
-                  record=record)
-    return PathRecord(times=cfg.times, values=values) if record else None
+                  record=record, lazy=lazy)
+    return PathRecord(times=cfg.times, values=values) if record and not lazy else values
 
 
 def coupled_stack(config: SimConfig, model: ModelSpec, reference_flow, seeds,
-                  initial_law=None, observe=None, record: bool = True) -> np.ndarray | None:
+                  initial_law=None, observe=None, record: bool = True, lazy: bool = False):
     """Interacting systems and their reference-driven twins, one pair per
     seed, stepped as one (2K, N) stack.
 
     Rows 0..K-1 are the interacting systems, rows K..2K-1 their twins. Each
     twin draws its own initial values with its system's seed and shares its
-    increments; only the measure they see differs. observe and record are
-    those of `_run`.
+    increments; only the measure they see differs. observe, record and lazy
+    are those of `_run`.
     """
     if reference_flow.steps != config.steps:
         raise EngineError("reference flow grid does not match the simulation grid")
@@ -580,7 +623,7 @@ def coupled_stack(config: SimConfig, model: ModelSpec, reference_flow, seeds,
     rows = list(seeds) * 2
     ens = ParticleEnsemble.from_law(config, law, seed=rows)
     groups = ((slice(0, K), None), (slice(K, 2 * K), reference_flow))
-    return _run(config, model, ens, rows, groups, observe=observe, record=record)
+    return _run(config, model, ens, rows, groups, observe=observe, record=record, lazy=lazy)
 
 
 def simulate_coupled(config: SimConfig, model: ModelSpec, reference_flow,

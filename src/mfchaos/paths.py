@@ -18,8 +18,9 @@ _GRID_RTOL = 4.0 * np.finfo(float).eps
 
 
 def _ratio_as_int(num: float, den: float, what: str) -> int:
-    k = int(round(num / den))
-    if abs(num - k * den) > _GRID_RTOL * max(abs(num), abs(k * den), 1.0):
+    ratio = num / den
+    k = int(round(ratio)) if np.isfinite(ratio) else None   # round() of inf overflows
+    if k is None or abs(num - k * den) > _GRID_RTOL * max(abs(num), abs(k * den), 1.0):
         raise ValueError(f"{what}: {num!r} is not an integer multiple of {den!r}")
     return k
 

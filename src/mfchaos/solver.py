@@ -11,6 +11,7 @@ law until the Monte Carlo resolution is reached.
 from __future__ import annotations
 
 import warnings
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,11 +96,88 @@ class MeasureFlow:
         """W1 between the measure at grid time k and each row of a row-sorted stack."""
         return w1_sorted_rows(rows, np.broadcast_to(self.values[k], (len(rows), self.m)))
 
+    def rows(self):
+        """The sorted row of every grid time, in order."""
+        yield from self.values
+
     def write_csv(self, path) -> None:
         index = [str(j) for j in range(self.m)]
         write_table(path, "t,sample_index,value",
                     (([repr(t)] * self.m, index, row)
                      for t, row in zip(self.times.tolist(), self.values)))
+
+
+class FrozenFlow(MeasureFlow):
+    """The empirical law of M paths driven by a frozen flow, stepped when it
+    is read. `rows()` steps a fresh run and hands over each grid time's
+    sorted row as the run reaches it, so a reader that keeps none holds one
+    row at a time, however many steps there are; `values` steps it once, as
+    `frozen_law`, and keeps every row."""
+
+    def __init__(self, config: SimConfig, model: ModelSpec, flow: MeasureFlow, M: int,
+                 seed: int, tag: str = ""):
+        # the stored rows, and what MeasureFlow checks of them, come with `values`
+        self.times = config.times
+        self.tag = tag
+        self.initial_law = flow.initial_law
+        self._measures = [None] * len(self.times)
+        self._law = (config, model, flow, M, seed)
+        self._values = None
+
+    @property
+    def m(self) -> int:
+        return self._law[3]
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = frozen_law(*self._law).values
+        return self._values
+
+    def rows(self):
+        held = []
+        run = simulate_frozen(*self._law, observe=lambda k, x, xs: held.append(xs.copy()),
+                              record=False, lazy=True)
+        with closing(run):   # a reader that stops early joins the run's helper
+            for _ in run:
+                yield held.pop()
+        yield held.pop()     # the last grid time, observed as the run ended
+
+
+class StreamedFlow:
+    """One pass over a flow's sorted rows, one grid time at a time, holding
+    only the current row. It offers what the engine and the sweeps read of
+    a MeasureFlow (`steps`, `m`, `initial_law`, `measure_at`, `w1_at`), at
+    the current grid time only; `advance` moves to the next one."""
+
+    def __init__(self, flow: MeasureFlow):
+        self.times = flow.times
+        self.initial_law = flow.initial_law
+        self.m = flow.m
+        self._rows = flow.rows()
+        self._k = -1
+        self._mu = None
+
+    @property
+    def steps(self) -> int:
+        return len(self.times) - 1
+
+    def advance(self) -> None:
+        self._mu = None   # the old row goes before the next one is stepped
+        self._mu = EmpiricalMeasure(next(self._rows), presorted=True)
+        self._k += 1
+
+    def measure_at(self, k: int) -> EmpiricalMeasure:
+        if k != self._k:
+            raise ValueError(f"streamed flow is at grid time {self._k}, not {k}")
+        return self._mu
+
+    def w1_at(self, k: int, rows: np.ndarray) -> np.ndarray:
+        return w1_sorted_rows(rows, np.broadcast_to(self.measure_at(k).samples,
+                                                    (len(rows), self.m)))
+
+    def close(self) -> None:
+        self._rows.close()
 
 
 def rho_metric(a: MeasureFlow, b: MeasureFlow, lam: float) -> float:
@@ -131,7 +209,8 @@ def apply_phi(config: SimConfig, model: ModelSpec, flow: MeasureFlow, M: int,
 def frozen_law(config: SimConfig, model: ModelSpec, flow: MeasureFlow, M: int,
                seed: int, tag: str = "") -> MeasureFlow:
     """Empirical law of M paths driven by the frozen flow, kept from the
-    rows each step sorts anyway, so no record is kept or sorted again."""
+    rows each step sorts anyway, so no record is kept or sorted again.
+    `FrozenFlow` is the same law stepped when it is read."""
     values = np.empty((config.steps + 1, M))
 
     def keep(k, x, xs):

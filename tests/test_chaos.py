@@ -1,4 +1,6 @@
+import os
 import sys
+import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfchaos import chaos, engine, rng, solver
+from mfchaos import chaos, cli, engine, model, rng, solver
 from mfchaos.chaos import (RunDiagnostics, _one_coupled_run, build_reference_flow,
                            coupling_error_curve, estimate_chaos_rate, fit_loglog,
                            marginal_tv_study, oracle_mean_flow,
@@ -144,6 +146,12 @@ class TestChaosRate:
         assert np.array_equal(a.error_mean, b.error_mean)
         assert a.slope == b.slope
         assert [d.seed for d in a.runs] == [d.seed for d in b.runs]
+        # the coupling sweep, on the same dispatch
+        c1 = coupling_error_curve(CFG, mdl, ref, N_SMALL, 4, workers=1)
+        c3 = coupling_error_curve(CFG, mdl, ref, N_SMALL, 4, workers=3)
+        assert c1.error_mean.tobytes() == c3.error_mean.tobytes()
+        assert c1.error_stderr.tobytes() == c3.error_stderr.tobytes()
+        assert repr(c1.slope) == repr(c3.slope)
 
     def test_worker_count_invariance_across_the_draw_ahead_size(self):
         # criterion 10 where N reaches _AHEAD_MIN: that N draws each step's
@@ -236,7 +244,7 @@ class TestSkippedScoring:
             cfg = SimConfig(T=0.4, dt=0.02, N=16, seed=31)
         ref = build_reference_flow(cfg, mdl, GAUSS, M=256)
         for N in N_list:
-            got = _one_coupled_run(cfg, mdl, ref, N, 4, cfg.seed)
+            got = engine._drain(_one_coupled_run(cfg, mdl, ref, N, 4, cfg.seed))
             assert repr(got) == repr(score_every_row(cfg, mdl, ref, N, 4, cfg.seed))
 
     def test_fewer_rows_reach_the_kernel_than_scoring_every_row(self, linear_setup, monkeypatch):
@@ -251,7 +259,7 @@ class TestSkippedScoring:
         monkeypatch.setattr(solver, "w1_sorted_rows", counting)
         replicas = 5
         for N in N_SMALL:
-            _one_coupled_run(CFG, mdl, ref, N, replicas, CFG.seed)
+            engine._drain(_one_coupled_run(CFG, mdl, ref, N, replicas, CFG.seed))
         # skeleton curves included
         assert 0 < sum(rows) < 2 * replicas * len(N_SMALL) * (CFG.steps + 1)
 
@@ -268,7 +276,7 @@ class TestStackedReplicas:
             cfg = SimConfig(T=0.4, dt=0.02, N=16, seed=31, r=0.06)
         ref = build_reference_flow(cfg, mdl, GAUSS, M=256)
         for N in (16, 24):   # nesting with M and not
-            runs = _one_coupled_run(cfg, mdl, ref, N, 3, cfg.seed)
+            runs = engine._drain(_one_coupled_run(cfg, mdl, ref, N, 3, cfg.seed))
             assert len(runs) == 3
             for r, got in enumerate(runs):
                 seed = rng.derive_seed(cfg.seed, N, r)
@@ -289,7 +297,7 @@ class TestStackedReplicas:
         alone = []
         with np.errstate(over="ignore"):
             with pytest.raises(BlowUpError) as stacked:
-                _one_coupled_run(cfg, cubic, flow, 4, 5, cfg.seed)
+                engine._drain(_one_coupled_run(cfg, cubic, flow, 4, 5, cfg.seed))
             for r in range(5):
                 seed = rng.derive_seed(cfg.seed, 4, r)
                 with pytest.raises(BlowUpError) as one:
@@ -305,18 +313,19 @@ class TestStackedReplicas:
         cfg = SimConfig(T=1.0, dt=0.1, N=4, seed=0)
         flow = MeasureFlow.constant_flow(cfg.times, [2.0], initial_law=ConstantLaw(2.0))
         with pytest.raises(ModelError, match="non-finite"):
-            _one_coupled_run(cfg, nan_sigma, flow, 4, 3, cfg.seed)
+            engine._drain(_one_coupled_run(cfg, nan_sigma, flow, 4, 3, cfg.seed))
 
 
 class TestPerNDispatch:
-    """One pool over N for every sweep: largest N first, results in order."""
+    """One dispatch for every sweep: each share of N steps its own reference
+    copy and its runs in one time loop; results come back in order."""
 
-    def test_largest_N_submitted_first_and_results_in_order(self, monkeypatch):
+    def test_shares_take_largest_N_first_and_results_come_back_in_order(self, monkeypatch):
         submitted = []
 
         class StubPool:
             def __init__(self, max_workers):
-                pass
+                assert max_workers == 2
 
             def __enter__(self):
                 return self
@@ -324,27 +333,44 @@ class TestPerNDispatch:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, N):
-                submitted.append(N)
+            def submit(self, fn, *args):
+                submitted.append(args[3])
                 fut = Future()
-                fut.set_result((N, len(submitted)))
+                fut.set_result(fn(*args))
                 return fut
 
         monkeypatch.setattr(chaos, "ThreadPoolExecutor", StubPool)
+        times = np.linspace(0.0, 0.2, 3)
+        ref = MeasureFlow(times, np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]), presorted=True)
+        seen = []
+
+        def run(flow, N):
+            for k in range(flow.steps + 1):
+                seen.append((N, k, flow.measure_at(k).mean))
+                if k < flow.steps:
+                    yield k
+            return N, len(seen)
+
         sizes = [64, 4096, 16, 4096, 256]
-        out = chaos._per_n(lambda N: N, sizes, 2)
-        assert submitted == [4096, 4096, 256, 64, 16]
-        assert out == [(64, 4), (4096, 1), (16, 5), (4096, 2), (256, 3)]
+        assert chaos._shares(sizes, 2) == [[1, 4], [0, 2, 3]]
+        out = chaos._per_n(run, ref, sizes, 2)
+        assert submitted == [[1, 4], [0, 2, 3]]
+        # each share steps its runs together, grid time by grid time, smaller index first
+        assert seen[:4] == [(4096, 0, 0.5), (256, 0, 0.5), (4096, 1, 2.5), (256, 1, 2.5)]
+        assert out == [(64, 13), (4096, 5), (16, 14), (4096, 15), (256, 6)]
+        seen.clear()
+        assert [N for N, _ in chaos._per_n(run, ref, sizes, 1)] == sizes
+        assert [k for _, k, _ in seen] == [k for k in range(3) for _ in sizes]
 
     def test_duplicate_sizes_come_back_in_N_list_order(self, linear_setup):
         # the coupled sweeps reject such a list; the dispatch itself keeps any order
         mdl, ref = linear_setup
         N_list = [64, 16, 64]
 
-        def task(N):
-            return _one_coupled_run(CFG, mdl, ref, N, 2, CFG.seed)
-        one = chaos._per_n(task, N_list, 1)
-        two = chaos._per_n(task, N_list, 2)
+        def run(flow, N):
+            return _one_coupled_run(CFG, mdl, flow, N, 2, CFG.seed)
+        one = chaos._per_n(run, ref, N_list, 1)
+        two = chaos._per_n(run, ref, N_list, 2)
         assert [d.N for runs in two for d in runs] == [64, 64, 16, 16, 64, 64]
         assert repr(two) == repr(one)
         assert repr(two[0]) == repr(two[2])
@@ -453,6 +479,58 @@ class TestStability:
         for d in (1e-3, 1e-2, 1e-1):
             st = stability_perturbation_test(cfg, mdl, d, GAUSS)
             assert st.response_ratio <= 2.0
+
+
+# blows up only in an interacting stack of 16 or 32 particles, and faster at 32;
+# the reference paths and their twins (M samples) and the mean flow (one) decay
+_GROWTH = {16: 1e10, 32: 1e20}
+GROWS = replace(make_linear_model(),
+                drift=lambda t, x, mu: np.asarray(x, dtype=float) * _GROWTH.get(mu.n, -1.0))
+
+
+class TestStreamedReference:
+    """The sweeps step the reference alongside their runs, one row at a time."""
+
+    def test_sweep_memory_does_not_grow_with_the_horizon(self):
+        mdl, M = make_linear_model(), 1 << 14
+
+        def peak(T):
+            cfg = SimConfig(T=T, dt=0.01, N=8, seed=4)
+            tracemalloc.start()
+            try:
+                ref = build_reference_flow(cfg, mdl, GAUSS, M=M)
+                estimate_chaos_rate(cfg, mdl, [8, 16, 32], 2, ref)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(0.1), peak(0.4)
+        extra_rows = (40 - 10) * M * 8   # bytes a stored reference would add
+        assert long - short < extra_rows / 4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # pool threads overflow too
+    def test_sweep_raises_the_smallest_failing_N(self, tmp_path, monkeypatch):
+        cfg = SimConfig(T=0.5, dt=0.01, N=8, seed=9)
+        ref = build_reference_flow(cfg, GROWS, GAUSS, M=64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            alone = {}
+            for N in _GROWTH:
+                with pytest.raises(BlowUpError) as exc:
+                    engine._drain(_one_coupled_run(cfg, GROWS, ref, N, 2, cfg.seed))
+                alone[N] = exc.value
+            assert alone[32].step < alone[16].step
+            for workers in (1, 2):
+                with pytest.raises(BlowUpError) as swept:
+                    estimate_chaos_rate(cfg, GROWS, [8, 16, 32], 2, ref, workers=workers)
+                assert (swept.value.step, swept.value.particle) == \
+                    (alone[16].step, alone[16].particle)
+            monkeypatch.setitem(model.MODEL_ZOO, "linear", lambda p=4.0: GROWS)
+            out = tmp_path / "o"
+            code = cli.main(["chaos-rate", "--seed", "9", "--set", "sim.T=0.5",
+                             "--set", "chaos.N_list=8,16,32", "--set", "chaos.replicas=2",
+                             "--set", "chaos.M=64", "--out", str(out)])
+        assert code == 3
+        assert not any(os.scandir(out))   # nothing published, nothing staged
 
 
 class TestReferenceFlows:

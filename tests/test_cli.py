@@ -40,6 +40,8 @@ BAD_INPUT = {
     "chaos-rate-negative-workers": ("chaos-rate", "--set", "sim.workers=-1"),
     "common-noise-two": ("solve", "--set", "solve.common_noise=2"),
     "common-noise-negative": ("solve", "--set", "solve.common_noise=-1"),
+    # T/dt overflows a float, so the step count is not finite
+    "overflowing-horizon": ("simulate", "--set", "sim.T=1e300", "--set", "sim.dt=1e-300"),
 }
 
 # `simulate` runs whose wide record.csv is summarized as they step; N is

@@ -1,5 +1,6 @@
 import pickle
 import threading
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -237,6 +238,22 @@ class TestInteracting:
         assert (rec.values ** 2).mean(axis=1).max() <= pin
 
 
+class TestLazyRun:
+    def test_one_grid_time_per_next_and_the_eager_result_at_the_end(self):
+        cfg = SimConfig(T=0.05, dt=0.01, N=64, seed=3)
+        seen = []
+        stepper = engine._run(cfg, make_sqrt_model(), ParticleEnsemble.from_law(cfg, GAUSS),
+                              cfg.seed, observe=lambda k, x, xs: seen.append(k), lazy=True)
+        assert seen == []
+        for k in range(cfg.steps):
+            assert next(stepper) == k and seen[-1] == k
+        with pytest.raises(StopIteration) as end:
+            next(stepper)
+        assert seen == list(range(cfg.steps + 1))
+        want = engine._run(cfg, make_sqrt_model(), ParticleEnsemble.from_law(cfg, GAUSS), cfg.seed)
+        assert end.value.value.tobytes() == want.tobytes()
+
+
 class TestDrawAhead:
     """From _AHEAD_MIN values per step on, `_run` draws step k+1's increments
     on a helper thread while step k runs; the helper never outlives the run."""
@@ -268,6 +285,34 @@ class TestDrawAhead:
         drive = [(k, who) for stream, k, who in draws if stream == rng.STREAM_DRIVE]
         assert sorted(k for k, _ in drive) == list(range(cfg.steps))
         assert any(who != threading.get_ident() for _, who in drive)   # drawn ahead
+
+    def test_a_draw_the_helper_never_starts_is_made_in_step(self, monkeypatch):
+        # a helper that never gets a core: each step takes its draw back and
+        # makes it on the stepping thread, into the same buffer, with the same bits
+        cfg = SimConfig(T=0.05, dt=0.01, N=self.N, seed=3)
+        want = simulate_interacting(cfg, make_sqrt_model(), GAUSS).values
+
+        class NeverStarts:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                return Future()
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", NeverStarts)
+        got = []
+        stepping = threading.Thread(daemon=True, target=lambda: got.append(
+            simulate_interacting(cfg, make_sqrt_model(), GAUSS).values))
+        stepping.start()
+        stepping.join(timeout=120)
+        assert not stepping.is_alive()
+        assert got[0].tobytes() == want.tobytes()
 
     def test_blow_up_with_a_draw_in_flight_names_the_same_particle_and_step(self, monkeypatch):
         cubic = replace(make_linear_model(sigma0=1.0),
@@ -313,7 +358,8 @@ class TestDrawAhead:
 
         def both():
             return (engine.coupled_stack(cfg, mdl, ref, self.SEEDS),
-                    _one_coupled_run(cfg, mdl, ref, self.ROW, len(self.SEEDS), cfg.seed))
+                    engine._drain(_one_coupled_run(cfg, mdl, ref, self.ROW, len(self.SEEDS),
+                                                   cfg.seed)))
 
         ahead_values, ahead_runs = both()
         monkeypatch.setattr(engine, "_AHEAD_MIN", 2 * len(self.SEEDS) * self.ROW + 1)
