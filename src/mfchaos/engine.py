@@ -491,7 +491,8 @@ def _observe(observe, k, x, xs):
 
 def _step(model, ensemble, groups, observe, k, dt, z, new, xs):
     """Observe grid time k, sorting into the run's buffer xs, and write step
-    k's update into new."""
+    k's update into new. Its temporaries go when it returns, so a lazy run
+    holds none while other runs take their steps."""
     t = k * dt
     sqdt = np.sqrt(dt)
     x = ensemble.current
