@@ -84,8 +84,8 @@ def oracle_mean_flow(config: SimConfig, model: ModelSpec, initial_law) -> Measur
                                   initial_law=initial_law)
 
 
-def build_reference_flow(config: SimConfig, model: ModelSpec, initial_law, M: int,
-                         seed: int | None = None) -> FrozenFlow:
+def build_reference_flow(config: SimConfig, model: ModelSpec, initial_law,
+                         M: int) -> FrozenFlow:
     """M-sample reference: paths frozen to the oracle mean flow.
 
     For the zoo models the frozen dynamics at the mean flow coincide with
@@ -93,9 +93,9 @@ def build_reference_flow(config: SimConfig, model: ModelSpec, initial_law, M: in
     limit law at every grid time. Only the mean flow is stepped here: the
     sweeps step the M paths alongside their runs, one row at a time.
     """
-    seed = rng.derive_seed(config.seed, _REF_STREAM) if seed is None else seed
     mean_flow = oracle_mean_flow(config, model, initial_law)
-    return FrozenFlow(config, model, mean_flow, M, seed, tag=f"reference-M{M}")
+    return FrozenFlow(config, model, mean_flow, M, rng.derive_seed(config.seed, _REF_STREAM),
+                      tag=f"reference-M{M}")
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,7 @@ def _pairing_sups(config: SimConfig, model: ModelSpec, reference: MeasureFlow, N
         np.maximum(pairing_sup, np.abs(x[:K] - x[K:]).mean(axis=1), out=pairing_sup)
 
     yield from coupled_stack(replace(config, N=N), model, reference, seeds, observe=score,
-                             record=False, lazy=True)
+                             lazy=True)
     return pairing_sup
 
 
@@ -403,7 +403,7 @@ def marginal_tv_study(config_base: SimConfig, model: ModelSpec, reference: Measu
                 if kj == k:   # x pooled over replicas, against the reference's row k
                     row[j] = tv_estimate(EmpiricalMeasure(x.flatten()), flow.measure_at(k),
                                          bin_width)
-        yield from engine._run(cfg, model, ens, seeds, observe=compare, record=False, lazy=True)
+        yield from engine._run(cfg, model, ens, seeds, observe=compare, lazy=True)
         return row
 
     table = np.empty((len(N_list), len(times)))
@@ -436,6 +436,6 @@ def stability_perturbation_test(config: SimConfig, model: ModelSpec, delta: floa
         raise ValueError("delta must be >= 0")
     x0 = initial_law.sample(config.seed, config.N)
     ens = ParticleEnsemble(config.r, config.dt, np.array([x0, x0 + delta]), stacked=True)
-    v = engine._run(config, model, ens, [config.seed, config.seed])
+    v = engine._run(config, model, ens, [config.seed, config.seed]).values
     gap = np.abs(v[:, 0] - v[:, 1]).mean(axis=1)
     return StabilityResult(times=config.times, mean_abs_diff=gap, delta=float(delta))

@@ -125,13 +125,24 @@ class RunConfig:
     def get_bool(self, key: str) -> bool:
         return self._convert(key, lambda s: ("0", "1").index(s.strip()) == 1, "0 or 1")
 
+    def get_count(self, key: str) -> int:
+        n = self.get_int(key)
+        if n < 1:
+            raise ConfigError(f"key {key!r}: must be >= 1, got {n!r}")
+        return n
+
+    def _list(self, key: str, conv, what: str) -> list:
+        items = self._convert(key, lambda s: [conv(x) for x in str(s).split(",") if x.strip()],
+                              what)
+        if not items:   # no value to run on is not a run
+            raise ConfigError(f"key {key!r}: expected {what}, got {self.values[key]!r}")
+        return items
+
     def get_floats(self, key: str) -> list[float]:
-        return self._convert(key, lambda s: [float(x) for x in str(s).split(",") if x.strip()],
-                             "a comma-separated number list")
+        return self._list(key, float, "a comma-separated number list")
 
     def get_ints(self, key: str) -> list[int]:
-        return self._convert(key, lambda s: [int(x) for x in str(s).split(",") if x.strip()],
-                             "a comma-separated integer list")
+        return self._list(key, int, "a comma-separated integer list")
 
     # -- assembled objects ---------------------------------------------------
 
@@ -142,9 +153,7 @@ class RunConfig:
                 raise ConfigError(
                     f"key 'model.alpha': {alpha!r} outside the admissible "
                     f"Hoelder range [1/2, 1]")
-        workers = self.get_int("sim.workers")
-        if workers < 1:
-            raise ConfigError(f"key 'sim.workers': must be >= 1, got {workers!r}")
+        self.get_count("sim.workers")
         try:
             return SimConfig(
                 T=self.get_float("sim.T"), dt=self.get_float("sim.dt"),
@@ -157,27 +166,32 @@ class RunConfig:
             key = {"horizon": "sim.dt", "delay": "sim.r"}.get(field, "sim." + field)
             raise ConfigError(f"key {key!r}: {msg}") from e
 
-    def model(self) -> model_mod.ModelSpec:
-        name = self.raw("model.name")
-        if name not in model_mod.MODEL_ZOO:
-            raise ConfigError(f"key 'model.name': unknown model {name!r} "
-                              f"(available: {sorted(model_mod.MODEL_ZOO)})")
-        factory = model_mod.MODEL_ZOO[name]
-        accepted = set(inspect.signature(factory).parameters)
+    def _factory(self, prefix: str, table: dict, what: str, renames=None):
+        """The factory `<prefix>.name` picks from table, its name, and its
+        parameters from the other `<prefix>.*` keys (a key's name, or its
+        entry in renames), each read as the parameter's default is typed."""
+        name = self.raw(prefix + ".name")
+        if name not in table:
+            raise ConfigError(f"key '{prefix}.name': unknown {what} {name!r} "
+                              f"(available: {sorted(table)})")
+        factory = table[name]
+        accepted = inspect.signature(factory).parameters
         params = {}
         for key in list(self.values):
-            if not key.startswith("model.") or key == "model.name":
+            if not key.startswith(prefix + ".") or key == prefix + ".name":
                 continue
             pname = key.split(".", 1)[1]
+            pname = (renames or {}).get(pname, pname)
             if pname not in accepted:
-                raise ConfigError(f"key {key!r}: model {name!r} does not take "
+                raise ConfigError(f"key {key!r}: {what} {name!r} does not take "
                                   f"parameter {pname!r}")
-            if pname in ("m",):
-                params[pname] = self.raw(key)
-            elif pname in ("atoms",):
-                params[pname] = self.get_int(key)
-            else:
-                params[pname] = self.get_float(key)
+            read = {str: self.raw, int: self.get_int}.get(type(accepted[pname].default),
+                                                          self.get_float)
+            params[pname] = read(key)
+        return factory, name, params
+
+    def model(self) -> model_mod.ModelSpec:
+        factory, _, params = self._factory("model", model_mod.MODEL_ZOO, "model")
         try:
             return factory(**params)
         except ValueError as e:
@@ -188,22 +202,8 @@ class RunConfig:
             raise ConfigError(f"key {key!r}: {msg}") from e
 
     def initial_law(self):
-        name = self.raw("init.name")
-        if name not in engine.INITIAL_LAWS:
-            raise ConfigError(f"key 'init.name': unknown initial law {name!r} "
-                              f"(available: {sorted(engine.INITIAL_LAWS)})")
-        cls = engine.INITIAL_LAWS[name]
-        accepted = set(inspect.signature(cls).parameters)
-        params = {}
-        for key in list(self.values):
-            if not key.startswith("init.") or key == "init.name":
-                continue
-            pname = {"mean": "loc", "std": "scale"}.get(key.split(".", 1)[1],
-                                                        key.split(".", 1)[1])
-            if pname not in accepted:
-                raise ConfigError(f"key {key!r}: initial law {name!r} does not take "
-                                  f"parameter {pname!r}")
-            params[pname] = self.get_float(key)
+        cls, name, params = self._factory("init", engine.INITIAL_LAWS, "initial law",
+                                          {"mean": "loc", "std": "scale"})
         try:
             return cls(**params)
         except (TypeError, ValueError) as e:
@@ -299,14 +299,11 @@ def _cmd_simulate(rc: RunConfig, art: ArtifactWriter) -> int:
         raise ConfigError(f"key 'record.form': unknown record form {form!r} "
                           f"(available: {list(engine.RECORD_FORMS)})")
     cfg, mdl = _sim_and_model(rc)
-    path = art.path_for("record.csv")
-    if form == "long":
-        engine.simulate_interacting(cfg, mdl, rc.initial_law()).write_csv(path, form=form)
-    else:   # summarized as it steps, so no trajectory is kept
-        summary = engine.WideSummary(cfg.times)
-        engine.simulate_interacting(cfg, mdl, rc.initial_law(), observe=summary.observe,
-                                    record=False)
-        summary.write_csv(path)
+    # filled as the run steps; the wide table keeps no trajectory
+    table = (engine.PathRecord.blank(cfg.times, (cfg.N,)) if form == "long"
+             else engine.WideSummary(cfg.times))
+    engine.simulate_interacting(cfg, mdl, rc.initial_law(), observe=table.observe)
+    table.write_csv(art.path_for("record.csv"))
     return 0
 
 
@@ -315,7 +312,7 @@ def _cmd_solve(rc: RunConfig, art: ArtifactWriter) -> int:
     lam = rc.get_float("solve.lambda") if rc.has("solve.lambda") else None
     res = solver.solve_fixed_point(
         cfg, mdl, rc.initial_law(), M=rc.get_int("solve.M"), lam=lam,
-        tol=rc.get_float("solve.tol"), max_iter=rc.get_int("solve.max_iter"),
+        tol=rc.get_float("solve.tol"), max_iter=rc.get_count("solve.max_iter"),
         common_noise=rc.get_bool("solve.common_noise"))
     res.flow.write_csv(art.path_for("flow.csv"))
     res.write_diagnostics_csv(art.path_for("diagnostics.csv"))
@@ -372,7 +369,7 @@ def _cmd_check_assumptions(rc: RunConfig, art: ArtifactWriter) -> int:
     if len(box) != 2:
         raise ConfigError("key 'check.box': expected `lo,hi`")
     report = model_mod.check_assumptions(mdl, box=(box[0], box[1]),
-                                         sample_count=rc.get_int("check.samples"),
+                                         sample_count=rc.get_count("check.samples"),
                                          seed=rc.get_int("seed"))
     declared = {"K_b": mdl.K_b, "K_B": mdl.K_B, "K_sigma": mdl.K_sigma}
     # an undeclared constant prints as repr("") == "''"

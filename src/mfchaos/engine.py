@@ -159,12 +159,6 @@ class BoundedParetoLaw:
 INITIAL_LAWS = {"constant": ConstantLaw, "gaussian": GaussianLaw, "pareto": BoundedParetoLaw}
 
 
-def make_initial_law(name: str, **params):
-    if name not in INITIAL_LAWS:
-        raise ValueError(f"unknown initial law {name!r}; available: {sorted(INITIAL_LAWS)}")
-    return INITIAL_LAWS[name](**params)
-
-
 # ---------------------------------------------------------------------------
 # ensemble state
 
@@ -334,6 +328,15 @@ class PathRecord:
     def means(self) -> np.ndarray:
         return self.values.mean(axis=1)
 
+    @classmethod
+    def blank(cls, times: np.ndarray, shape) -> "PathRecord":
+        """A record for `observe` to fill, one row of the given shape per grid time."""
+        return cls(times, np.empty((len(times),) + tuple(shape)))
+
+    def observe(self, k: int, x: np.ndarray, xs: np.ndarray) -> None:
+        """Keep grid time k's state; the signature of `_run`'s hook."""
+        self.values[k] = x
+
     def write_csv(self, path, form: str = "long") -> None:
         if form not in RECORD_FORMS:
             raise ValueError(f"unknown record form {form!r}")
@@ -441,25 +444,24 @@ _AHEAD_MIN = 1 << 15
 
 
 def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
-         groups=_OWN_LAW, observe=None, record: bool = True, lazy: bool = False):
+         groups=_OWN_LAW, observe=None, lazy: bool = False):
     """The Euler-Maruyama loop: config.steps steps from the ensemble's step counter.
 
     The ensemble is one system (seeds is then one seed) or a (K, N) stack
     whose row i is driven by seeds[i]. Each group (rows, flow) names the
     measure its rows see: flow.measure_at(k), or with flow None each row's
-    own empirical law. observe(k, x, xs), if given, sees the state x at
-    every grid time k, the last one included, with xs sorted row by row;
-    the next step overwrites both, so an observer copies what it keeps.
-    Returns the record, shaped (steps + 1,) + the ensemble's shape, unless
-    record is False.
+    own empirical law. The run reports through observe(k, x, xs) alone: it
+    sees the state x at every grid time k, the last one included, with xs
+    sorted row by row; the next step overwrites both, so an observer copies
+    what it keeps. With no observer the run keeps its record (a PathRecord
+    of a run from step 0, through its `observe`) and returns it.
 
     With lazy True nothing is stepped yet: the run comes back as a stepper,
     a generator that takes one grid time per `next`. It observes grid time k
     and steps to k + 1, then yields; at the last grid time it observes and
-    ends, StopIteration carrying what the eager call returns (`_drain`). So
-    several runs can advance in step, each reading a flow at grid time k
-    only while it takes that step. Closing a stepper part way joins its
-    helper.
+    ends. So several runs can advance in step, each reading a flow at grid
+    time k only while it takes that step. Closing a stepper part way joins
+    its helper.
 
     Where one step draws at least _AHEAD_MIN values (distinct seeds times
     streams), step k+1's increments are drawn on one helper thread while
@@ -470,8 +472,15 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
     span = model.delay_measure.span   # atoms are read where declared, so all must fit
     if span > config.r + 1e-12:
         raise EngineError(f"model delay measure reaches lag -{span} but config.r = {config.r}")
-    stepper = _steps(config, model, ensemble, seeds, groups, observe, record)
-    return stepper if lazy else _drain(stepper)
+    record = None
+    if observe is None:
+        record = PathRecord.blank(config.times, ensemble.current.shape)
+        observe = record.observe
+    stepper = _steps(config, model, ensemble, seeds, groups, observe)
+    if lazy:
+        return stepper
+    _drain(stepper)
+    return record
 
 
 def _drain(stepper):
@@ -496,14 +505,12 @@ def _step(model, ensemble, groups, observe, k, dt, z, new, xs):
     t = k * dt
     sqdt = np.sqrt(dt)
     x = ensemble.current
-    if observe is not None:
-        _observe(observe, k, x, xs)
+    _observe(observe, k, x, xs)
     for rows, flow in groups:
         if flow is not None:
             mu = flow.measure_at(k)
         else:
-            own = xs[rows] if observe is not None else np.sort(x[rows], axis=-1)
-            mu = EmpiricalMeasure(own, presorted=True, stacked=x.ndim == 2)
+            mu = EmpiricalMeasure(xs[rows], presorted=True, stacked=x.ndim == 2)
         drift, sig = _eval_coeffs(model, t, x[rows], ensemble.batch(rows), mu)
         # new = x + drift*dt + sig*sqdt*z with the same roundings (+ and * commute);
         # z is this step's own draw, so its rows serve as the scratch
@@ -517,7 +524,7 @@ def _step(model, ensemble, groups, observe, k, dt, z, new, xs):
         del drift, sig   # gone before the next group's: fewer large arrays alive at once
 
 
-def _steps(config, model, ensemble, seeds, groups, observe, record):
+def _steps(config, model, ensemble, seeds, groups, observe):
     """`_run`'s stepper: one grid time per `next`."""
     dt = config.dt
     ids = ensemble.stream_ids
@@ -527,10 +534,6 @@ def _steps(config, model, ensemble, seeds, groups, observe, record):
     k0 = ensemble.step_index
     end = k0 + config.steps
     new = np.empty_like(ensemble.current)   # advance copies it into the ring buffer
-    out = None
-    if record:
-        out = np.empty((config.steps + 1,) + ensemble.current.shape)
-        out[0] = ensemble.current
     ahead = (1 if np.ndim(seeds) == 0 else len(set(seeds))) * n_streams >= _AHEAD_MIN
     # step k's increments land in zs[k % len(zs)]: one buffer, or two when the
     # helper fills the next step's while this step uses its own as scratch.
@@ -539,7 +542,7 @@ def _steps(config, model, ensemble, seeds, groups, observe, record):
     zs = [np.empty_like(new) for _ in range(2 if ahead else 1)]
     # each grid time is sorted into this one buffer, so a step allocates no
     # sorted stack and no two are ever alive
-    xs = np.empty_like(new) if observe is not None else None
+    xs = np.empty_like(new)
     with ThreadPoolExecutor(max_workers=1) if ahead else nullcontext() as helper:
         drawn = None
         for k in range(k0, end):
@@ -553,12 +556,8 @@ def _steps(config, model, ensemble, seeds, groups, observe, record):
                 drawn = helper.submit(_increments, seeds, k + 1, ids, n_streams, zs[(k + 1) % 2])
             _step(model, ensemble, groups, observe, k, dt, z, new, xs)
             ensemble.advance(new)
-            if record:
-                out[k - k0 + 1] = new
             yield k
-    if observe is not None:
-        _observe(observe, end, ensemble.current, xs)
-    return out
+    _observe(observe, end, ensemble.current, xs)
 
 
 def step_interacting(ensemble: ParticleEnsemble, model: ModelSpec, t: float,
@@ -575,45 +574,42 @@ def step_interacting(ensemble: ParticleEnsemble, model: ModelSpec, t: float,
             f"time {t!r} does not match the ensemble's step counter "
             f"({ensemble.step_index} steps of dt={dt})")
     cfg = SimConfig(T=dt, dt=dt, N=ensemble.n, seed=seed, r=ensemble.r)
-    _run(cfg, model, ensemble, seed, record=False)
+    _run(cfg, model, ensemble, seed, observe=lambda k, x, xs: None)   # nothing to keep
     return ensemble
 
 
 def simulate_interacting(config: SimConfig, model: ModelSpec, initial_law,
-                         stream_ids=None, observe=None, record: bool = True) -> PathRecord | None:
+                         stream_ids=None, observe=None) -> PathRecord | None:
     """The N-interacting system: each particle sees the ensemble's own
-    empirical law, rebuilt once per step from the full state. observe and
-    record are those of `_run`; with record False nothing is returned."""
+    empirical law, rebuilt once per step from the full state. observe is
+    `_run`'s; with no observer the record comes back."""
     ens = ParticleEnsemble.from_law(config, initial_law, stream_ids=stream_ids)
-    values = _run(config, model, ens, config.seed, observe=observe, record=record)
-    return PathRecord(times=config.times, values=values) if record else None
+    return _run(config, model, ens, config.seed, observe=observe)
 
 
 def simulate_frozen(config: SimConfig, model: ModelSpec, flow, n_paths: int,
-                    seed: int, observe=None, record: bool = True, lazy: bool = False):
+                    seed: int, observe=None, lazy: bool = False):
     """Independent paths driven by a frozen measure flow instead of the
-    ensemble's own law. observe and record are those of `_run`; with
-    record False nothing is returned, and with lazy True the run's stepper."""
+    ensemble's own law. observe and lazy are those of `_run`: with no
+    observer the record comes back, and with lazy True the run's stepper."""
     if flow.steps != config.steps or abs(flow.times[-1] - config.T) > 1e-12:
         raise EngineError("measure flow grid does not match the simulation grid")
     if flow.initial_law is None:
         raise EngineError("flow carries no initial law; attach one before freezing")
     cfg = replace(config, N=n_paths, seed=seed)
     ens = ParticleEnsemble.from_law(cfg, flow.initial_law, seed=seed)
-    values = _run(cfg, model, ens, seed, groups=((Ellipsis, flow),), observe=observe,
-                  record=record, lazy=lazy)
-    return PathRecord(times=cfg.times, values=values) if record and not lazy else values
+    return _run(cfg, model, ens, seed, groups=((Ellipsis, flow),), observe=observe, lazy=lazy)
 
 
 def coupled_stack(config: SimConfig, model: ModelSpec, reference_flow, seeds,
-                  initial_law=None, observe=None, record: bool = True, lazy: bool = False):
+                  initial_law=None, observe=None, lazy: bool = False):
     """Interacting systems and their reference-driven twins, one pair per
     seed, stepped as one (2K, N) stack.
 
     Rows 0..K-1 are the interacting systems, rows K..2K-1 their twins. Each
     twin draws its own initial values with its system's seed and shares its
-    increments; only the measure they see differs. observe, record and lazy
-    are those of `_run`.
+    increments; only the measure they see differs. observe and lazy are
+    those of `_run`.
     """
     if reference_flow.steps != config.steps:
         raise EngineError("reference flow grid does not match the simulation grid")
@@ -624,7 +620,7 @@ def coupled_stack(config: SimConfig, model: ModelSpec, reference_flow, seeds,
     rows = list(seeds) * 2
     ens = ParticleEnsemble.from_law(config, law, seed=rows)
     groups = ((slice(0, K), None), (slice(K, 2 * K), reference_flow))
-    return _run(config, model, ens, rows, groups, observe=observe, record=record, lazy=lazy)
+    return _run(config, model, ens, rows, groups, observe=observe, lazy=lazy)
 
 
 def simulate_coupled(config: SimConfig, model: ModelSpec, reference_flow,
@@ -634,7 +630,7 @@ def simulate_coupled(config: SimConfig, model: ModelSpec, reference_flow,
     Both systems start from the same initial draws and consume the same
     increment per (particle, step); only the measure they see differs.
     """
-    values = coupled_stack(config, model, reference_flow, [config.seed], initial_law)
+    values = coupled_stack(config, model, reference_flow, [config.seed], initial_law).values
     times = config.times
     return CoupledRecord(times=times,
                          interacting=PathRecord(times=times, values=values[:, 0]),

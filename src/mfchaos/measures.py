@@ -147,13 +147,13 @@ def tv_estimate(mu: EmpiricalMeasure, nu: EmpiricalMeasure, bin_width: float | N
     return float(0.5 * np.abs(p / mu.n - q / nu.n).sum())
 
 
-def pinsker_check(p, q, slack: float = 1e-12) -> tuple[float, float, bool]:
+def pinsker_check(p, q) -> tuple[float, float, bool]:
     """Exact variation norm, relative entropy and the Pinsker verdict.
 
     p and q are probability vectors on a shared finite support. Returns
     (var_norm, entropy, holds) where var_norm = sum |p_i - q_i| (the sup
     over |f| <= 1 of the mean gap), entropy = sum q_i log(q_i / p_i), and
-    holds is var_norm^2 <= 2 * entropy + slack. If q puts mass where p has
+    holds is var_norm^2 <= 2 * entropy + 1e-12. If q puts mass where p has
     none the entropy is infinite and the bound holds vacuously.
     """
     p = np.asarray(p, dtype=float)
@@ -168,4 +168,4 @@ def pinsker_check(p, q, slack: float = 1e-12) -> tuple[float, float, bool]:
         return var, float("inf"), True
     mask = q > 0
     ent = float(np.sum(q[mask] * np.log(q[mask] / p[mask])))
-    return var, ent, var * var <= 2.0 * ent + slack
+    return var, ent, var * var <= 2.0 * ent + 1e-12

@@ -202,7 +202,6 @@ class AssumptionReport:
     sigma_ok: bool
     bounds_ok: bool
     witnesses: dict
-    sample_count: int
     tol: float
     note: str = "sampled audit: flags certify only that no violation was found"
 
@@ -335,5 +334,5 @@ def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), sample_count: int = 10_
         drift_ok=drift_viol <= _TOL, path_drift_ok=path_viol <= _TOL,
         sigma_ok=sig_viol <= _TOL, bounds_ok=bounds_ok,
         witnesses={k: v for k, v in worst.items()},
-        sample_count=sample_count, tol=_TOL,
+        tol=_TOL,
     )

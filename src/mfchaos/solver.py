@@ -47,7 +47,6 @@ class MeasureFlow:
         self.values = values if presorted else np.sort(values, axis=1)
         self.tag = tag
         self.initial_law = initial_law
-        self._measures: list[EmpiricalMeasure | None] = [None] * len(times)
 
     @property
     def steps(self) -> int:
@@ -62,12 +61,8 @@ class MeasureFlow:
         return self.values.mean(axis=1)
 
     def measure_at(self, k: int) -> EmpiricalMeasure:
-        """The measure at grid time k, built on first use and then shared."""
-        # sweep threads may race to build the same entry; both builds are equal
-        mu = self._measures[k]
-        if mu is None:
-            mu = self._measures[k] = EmpiricalMeasure(self.values[k], presorted=True)
-        return mu
+        """The measure at grid time k."""
+        return EmpiricalMeasure(self.values[k], presorted=True)
 
     @classmethod
     def from_record(cls, record, tag: str = "", initial_law=None) -> "MeasureFlow":
@@ -120,7 +115,6 @@ class FrozenFlow(MeasureFlow):
         self.times = config.times
         self.tag = tag
         self.initial_law = flow.initial_law
-        self._measures = [None] * len(self.times)
         self._law = (config, model, flow, M, seed)
         self._values = None
 
@@ -137,7 +131,7 @@ class FrozenFlow(MeasureFlow):
     def rows(self):
         held = []
         run = simulate_frozen(*self._law, observe=lambda k, x, xs: held.append(xs.copy()),
-                              record=False, lazy=True)
+                              lazy=True)
         with closing(run):   # a reader that stops early joins the run's helper
             for _ in run:
                 yield held.pop()
@@ -216,7 +210,7 @@ def frozen_law(config: SimConfig, model: ModelSpec, flow: MeasureFlow, M: int,
     def keep(k, x, xs):
         values[k] = xs
 
-    simulate_frozen(config, model, flow, M, seed, observe=keep, record=False)
+    simulate_frozen(config, model, flow, M, seed, observe=keep)
     return MeasureFlow(config.times, values, tag=tag, initial_law=flow.initial_law,
                        presorted=True)
 
@@ -240,8 +234,7 @@ class FixedPointResult:
 
 def solve_fixed_point(config: SimConfig, model: ModelSpec, initial_law, M: int,
                       lam: float | None = None, tol: float = 1e-3,
-                      max_iter: int = 25, seed: int | None = None,
-                      common_noise: bool = False) -> FixedPointResult:
+                      max_iter: int = 25, common_noise: bool = False) -> FixedPointResult:
     """Iterate the frozen-flow map from the initial-law constant flow.
 
     Stops when the weighted distance between successive iterates falls
@@ -256,17 +249,16 @@ def solve_fixed_point(config: SimConfig, model: ModelSpec, initial_law, M: int,
     the measured floor meaningless as a stopping guard, so the default is
     fresh noise per iteration.
     """
-    seed = config.seed if seed is None else seed
     lam = default_lambda(model) if lam is None else float(lam)
-    init_samples = initial_law.sample(rng.derive_seed(seed, _PICARD, 0), M)
+    init_samples = initial_law.sample(rng.derive_seed(config.seed, _PICARD, 0), M)
     flow = MeasureFlow.constant_flow(config.times, init_samples, tag="initial-guess",
                                      initial_law=initial_law)
 
     def sub_seed(it: int) -> int:
-        return rng.derive_seed(seed, _PICARD, 1 if common_noise else it + 1)
+        return rng.derive_seed(config.seed, _PICARD, 1 if common_noise else it + 1)
 
     probe_a = apply_phi(config, model, flow, M, sub_seed(0))
-    probe_b = apply_phi(config, model, flow, M, rng.derive_seed(seed, _PICARD_PROBE, 0))
+    probe_b = apply_phi(config, model, flow, M, rng.derive_seed(config.seed, _PICARD_PROBE, 0))
     noise_floor = rho_metric(probe_a, probe_b, lam)
     if tol < noise_floor:
         warnings.warn(

@@ -24,6 +24,8 @@ from .model import ModelSpec
 # which keeps psi <= 2*eps/x for every eps.
 _RAMP_FRAC = 0.05
 _EPS_FLOOR = 0.02   # below this, eps*exp(-1/eps) underflows any usable grid
+_NODES = 30_000     # log-spaced grid nodes of V' and V
+_ORDER = 200        # Gauss-Legendre nodes per panel of the mollifier's quadrature
 
 
 class YamadaFunction:
@@ -42,7 +44,7 @@ class YamadaFunction:
 
     __slots__ = ("epsilon", "support", "_a", "_c", "_nodes", "_psi", "_cdf", "_v")
 
-    def __init__(self, epsilon: float, n_nodes: int = 30_000):
+    def __init__(self, epsilon: float):
         if not (_EPS_FLOOR <= epsilon < 1.0):
             raise ValueError(
                 f"epsilon must lie in [{_EPS_FLOOR}, 1); below the floor the "
@@ -54,7 +56,7 @@ class YamadaFunction:
         self._a = _RAMP_FRAC / epsilon
         self._c = 1.0 / (1.0 - _RAMP_FRAC)
 
-        tau = np.linspace(np.log(lo), np.log(hi), n_nodes)
+        tau = np.linspace(np.log(lo), np.log(hi), _NODES)
         tau = np.union1d(tau, [np.log(lo) + self._a, np.log(hi) - self._a])
         x = np.exp(tau)
         psi = self.psi(x)
@@ -117,8 +119,8 @@ class YamadaFunction:
         return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def make_yamada(epsilon: float, n_nodes: int = 30_000) -> YamadaFunction:
-    return YamadaFunction(epsilon, n_nodes=n_nodes)
+def make_yamada(epsilon: float) -> YamadaFunction:
+    return YamadaFunction(epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +158,11 @@ def rho_moment(alpha: float) -> float:
     return val
 
 
-@lru_cache(maxsize=4)
-def _kernel_atoms(order: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=1)
+def _kernel_atoms() -> tuple[np.ndarray, np.ndarray]:
     # Two Gauss-Legendre panels split at 0 so kernels convolved with
     # kinked-at-0 coefficients keep the kink at a panel edge.
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = np.polynomial.legendre.leggauss(_ORDER)
     nodes = np.concatenate([0.5 * (xg - 1.0), 0.5 * (xg + 1.0)])
     weights = np.concatenate([0.5 * wg, 0.5 * wg]) * _bump_raw(nodes)
     weights = weights / weights.sum()   # discrete kernel is exactly a probability
@@ -186,10 +188,10 @@ class MollifiedSigma:
         return float(out[0]) if scalar else out
 
 
-def mollify_sigma(model: ModelSpec, n: int, order: int = 200) -> MollifiedSigma:
+def mollify_sigma(model: ModelSpec, n: int) -> MollifiedSigma:
     if n < 1:
         raise ValueError(f"mollification index must be >= 1, got {n!r}")
-    nodes, weights = _kernel_atoms(order)
+    nodes, weights = _kernel_atoms()
     return MollifiedSigma(n=int(n), model=model, nodes=nodes, weights=weights)
 
 

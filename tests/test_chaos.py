@@ -191,7 +191,7 @@ def score_every_row(config, model, reference, N, replicas, master_seed):
         gap = np.abs(x[:replicas] - x[replicas:]).mean(axis=1)
         np.maximum(pairing_sup, gap, out=pairing_sup)
 
-    coupled_stack(replace(config, N=N), model, reference, seeds, observe=score, record=False)
+    coupled_stack(replace(config, N=N), model, reference, seeds, observe=score)
     runs = []
     for r, seed in enumerate(seeds):
         hat, tld, pair = float(w1_sup[r]), float(w1_sup[replicas + r]), float(pairing_sup[r])

@@ -42,6 +42,21 @@ BAD_INPUT = {
     "common-noise-negative": ("solve", "--set", "solve.common_noise=-1"),
     # T/dt overflows a float, so the step count is not finite
     "overflowing-horizon": ("simulate", "--set", "sim.T=1e300", "--set", "sim.dt=1e-300"),
+    # values a subcommand would run on without doing its work, then report a success
+    "check-assumptions-negative-samples": ("check-assumptions", "--set", "check.samples=-5"),
+    "solve-zero-iterations": ("solve", "--set", "solve.max_iter=0"),
+    "tv-study-no-times": ("tv-study", "--set", "chaos.times="),
+    "unknown-init-law": ("simulate", "--set", "init.name=cauchy"),
+    "delay-fractional-atoms": ("simulate", "--set", "model.name=delay", "--set", "model.atoms=2.5"),
+}
+
+# cases of BAD_INPUT whose one config error line names the key at fault
+NAMED_KEY = {
+    "check-assumptions-negative-samples": "check.samples",
+    "solve-zero-iterations": "solve.max_iter",
+    "tv-study-no-times": "chaos.times",
+    "unknown-init-law": "init.name",
+    "delay-fractional-atoms": "model.atoms",
 }
 
 # `simulate` runs whose wide record.csv is summarized as they step; N is
@@ -151,6 +166,12 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert len([ln for ln in err.splitlines() if ln.startswith("config error:")]) == 1
         assert not any(os.scandir(out))   # nothing published, nothing staged
+
+    @pytest.mark.parametrize("case", NAMED_KEY)
+    def test_rejected_value_names_its_key(self, tmp_path, capsys, case):
+        argv = BAD_INPUT[case]
+        assert run_cli(argv[0], *TINY, *argv[1:], "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(f"config error: key {NAMED_KEY[case]!r}: ")
 
     def test_bad_record_form_is_rejected_before_stepping(self, tmp_path, monkeypatch):
         calls = []

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mfchaos import engine, rng
 from mfchaos.engine import (BlowUpError, BoundedParetoLaw, ConstantLaw, EngineError,
                             GaussianLaw, ParticleEnsemble, SimConfig,
-                            WideSummary, make_initial_law,
+                            WideSummary,
                             simulate_coupled, simulate_frozen,
                             simulate_interacting, simulate_mollified)
 from mfchaos.model import (ModelSpec, make_delay_model, make_linear_model,
@@ -71,10 +71,6 @@ class TestSampleInitial:
         pdf = lambda x: a * lo ** a * x ** (-a - 1.0) / norm
         oracle, _ = quad(lambda x: x ** p * pdf(x), lo, hi, limit=200)
         assert law.moment(p) == pytest.approx(oracle, rel=1e-9)
-
-    def test_unknown_sampler_rejected(self):
-        with pytest.raises(ValueError, match="unknown initial law"):
-            make_initial_law("cauchy")
 
 
 class TestStepInteracting:
@@ -241,17 +237,22 @@ class TestInteracting:
 class TestLazyRun:
     def test_one_grid_time_per_next_and_the_eager_result_at_the_end(self):
         cfg = SimConfig(T=0.05, dt=0.01, N=64, seed=3)
-        seen = []
+        seen, states = [], []
+
+        def observe(k, x, xs):
+            seen.append(k)
+            states.append(x.copy())
+
         stepper = engine._run(cfg, make_sqrt_model(), ParticleEnsemble.from_law(cfg, GAUSS),
-                              cfg.seed, observe=lambda k, x, xs: seen.append(k), lazy=True)
+                              cfg.seed, observe=observe, lazy=True)
         assert seen == []
         for k in range(cfg.steps):
             assert next(stepper) == k and seen[-1] == k
-        with pytest.raises(StopIteration) as end:
+        with pytest.raises(StopIteration):
             next(stepper)
         assert seen == list(range(cfg.steps + 1))
         want = engine._run(cfg, make_sqrt_model(), ParticleEnsemble.from_law(cfg, GAUSS), cfg.seed)
-        assert end.value.value.tobytes() == want.tobytes()
+        assert np.array(states).tobytes() == want.values.tobytes()
 
 
 class TestDrawAhead:
@@ -281,7 +282,7 @@ class TestDrawAhead:
     def test_one_drive_draw_per_step_and_none_beyond(self, monkeypatch):
         draws = self.spy(monkeypatch)
         cfg = SimConfig(T=0.05, dt=0.01, N=self.N, seed=3)
-        simulate_interacting(cfg, make_sqrt_model(), GAUSS, record=False)
+        simulate_interacting(cfg, make_sqrt_model(), GAUSS)
         drive = [(k, who) for stream, k, who in draws if stream == rng.STREAM_DRIVE]
         assert sorted(k for k, _ in drive) == list(range(cfg.steps))
         assert any(who != threading.get_ident() for _, who in drive)   # drawn ahead
@@ -321,7 +322,7 @@ class TestDrawAhead:
 
         def blow_up() -> BlowUpError:
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as exc:
-                simulate_interacting(cfg, cubic, ConstantLaw(1.0), record=False)
+                simulate_interacting(cfg, cubic, ConstantLaw(1.0))
             return exc.value
 
         threads = threading.active_count()
@@ -341,14 +342,14 @@ class TestDrawAhead:
     def test_stack_draws_ahead_per_step_and_none_beyond(self, monkeypatch):
         draws = self.spy(monkeypatch)
         cfg = SimConfig(T=0.05, dt=0.01, N=self.ROW, seed=3)
-        engine._run(cfg, make_sqrt_model(), self.stack(cfg, GAUSS), self.ROWS, record=False)
+        engine._run(cfg, make_sqrt_model(), self.stack(cfg, GAUSS), self.ROWS)
         drive = [(k, who) for stream, k, who in draws if stream == rng.STREAM_DRIVE]
         # one draw per distinct seed and step, and none beyond the last step
         assert sorted(k for k, _ in drive) == sorted(list(range(cfg.steps)) * len(self.SEEDS))
         assert any(who != threading.get_ident() for _, who in drive)   # drawn ahead
         # one of those seeds alone stays below the gate and draws on the caller's thread
         draws.clear()
-        simulate_interacting(cfg, make_sqrt_model(), GAUSS, record=False)
+        simulate_interacting(cfg, make_sqrt_model(), GAUSS)
         assert {who for stream, _, who in draws} == {threading.get_ident()}
 
     def test_stack_drawn_ahead_is_bitwise_the_stack_drawn_in_step(self, monkeypatch):
@@ -357,7 +358,7 @@ class TestDrawAhead:
         ref = oracle_mean_flow(cfg, mdl, GAUSS)
 
         def both():
-            return (engine.coupled_stack(cfg, mdl, ref, self.SEEDS),
+            return (engine.coupled_stack(cfg, mdl, ref, self.SEEDS).values,
                     engine._drain(_one_coupled_run(cfg, mdl, ref, self.ROW, len(self.SEEDS),
                                                    cfg.seed)))
 
@@ -374,8 +375,7 @@ class TestDrawAhead:
 
         def blow_up() -> BlowUpError:
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as exc:
-                engine._run(cfg, cubic, self.stack(cfg, ConstantLaw(1.0)), self.ROWS,
-                            record=False)
+                engine._run(cfg, cubic, self.stack(cfg, ConstantLaw(1.0)), self.ROWS)
             return exc.value
 
         threads = threading.active_count()

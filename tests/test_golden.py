@@ -3,14 +3,15 @@
 Relative tests (reruns agree, worker counts agree) pass even when a
 refactor changes every number. These pin the exact output bits: the
 SHA-256 of `.tobytes()` for the noise streams, for short runs of every
-stepping path (interacting, coupled, by hand, Picard) on the linear,
+stepping path (interacting, frozen, coupled, by hand, Picard) on the linear,
 `sqrt` and path-dependent `delay` models (including a delay measure whose
 atoms fall between grid columns), of the stability gap on those three
 models, and of the CSV bytes of small rate, coupling and marginal TV
 sweeps, the rate sweeps scoring sample counts that divide the reference
 size and counts that do not (their W1 sums segments of unequal length),
 on the linear model and on `sqrt`. Every other CSV
-artifact is pinned as well: long and wide `record.csv`, the Picard
+artifact is pinned as well: long and wide `record.csv` (from the library
+and from the CLI's `simulate`), the Picard
 `flow.csv` and `diagnostics.csv`, `summary.csv`, and the CLI's
 `assumptions.csv` and `yamada_audit.csv`. A change that alters any digest
 on purpose must say why in CHANGES.md.
@@ -24,9 +25,9 @@ import pytest
 
 from mfchaos import cli, rng
 from mfchaos.chaos import (build_reference_flow, coupling_error_curve, estimate_chaos_rate,
-                           marginal_tv_study, stability_perturbation_test)
+                           marginal_tv_study, oracle_mean_flow, stability_perturbation_test)
 from mfchaos.engine import (GaussianLaw, ParticleEnsemble, SimConfig, simulate_coupled,
-                            simulate_interacting, step_interacting)
+                            simulate_frozen, simulate_interacting, step_interacting)
 from mfchaos.model import make_delay_model, make_linear_model, make_sqrt_model
 from mfchaos.solver import solve_fixed_point
 
@@ -57,6 +58,8 @@ GOLDEN = {
         "b9802b6845172dc5f5fd202dcfdcbcadea6a4aa182831a86406c3e1d5afeb452",
     "non_nested.runs.csv":
         "e838c724f6a7fa5d5262c4806701984d2d65c6e0c55ebe2b3050b1f173e0cfd2",
+    "frozen":
+        "d9012d50cf354d4e1554d5c3a43d84619df8b15d42dab2162896ec34cc1f2172",
     "sqrt.interacting":
         "a52933e9ce4eb5edcfbecddaafe4f421632c88f53aaa6f6b9663dac72a3b0d85",
     "sqrt.coupled.interacting":
@@ -136,6 +139,13 @@ def test_coupled_run(reference):
     rec = simulate_coupled(CFG, mdl, ref)
     assert sha(rec.interacting.values.tobytes()) == GOLDEN["coupled.interacting"]
     assert sha(rec.limit.values.tobytes()) == GOLDEN["coupled.limit"]
+
+
+def test_frozen_run():
+    # paths frozen to the oracle mean flow, with no observer: the run keeps its record
+    mdl, law = make_linear_model(), GaussianLaw(1.0, 0.5)
+    rec = simulate_frozen(CFG, mdl, oracle_mean_flow(CFG, mdl, law), 64, SEED)
+    assert sha(rec.values.tobytes()) == GOLDEN["frozen"]
 
 
 @pytest.mark.parametrize("label,N_list", [("nested", NESTED_N), ("non_nested", NON_NESTED_N)])
@@ -254,11 +264,18 @@ def test_delay_tv_study_csv(tmp_path):
 
 
 @pytest.mark.parametrize("form", ["long", "wide"])
-@pytest.mark.parametrize("label", ["linear", "delay"])
+@pytest.mark.parametrize("label", ["linear", "delay", "cli"])
 def test_record_csv(tmp_path, label, form):
-    mdl, cfg = {"linear": (make_linear_model(), CFG), "delay": (delay_model(), DELAY_CFG)}[label]
-    rec = simulate_interacting(cfg, mdl, GaussianLaw(1.0, 0.5))
-    rec.write_csv(tmp_path / "record.csv", form=form)
+    if label == "cli":   # the CLI's defaults at CFG's grid and size: the linear record
+        assert cli.main(["simulate", "--seed", str(SEED), "--set", "sim.T=0.2",
+                         "--set", "sim.dt=0.02", "--set", "sim.N=16",
+                         "--set", f"record.form={form}", "--out", str(tmp_path)]) == 0
+        label = "linear"
+    else:
+        mdl, cfg = {"linear": (make_linear_model(), CFG),
+                    "delay": (delay_model(), DELAY_CFG)}[label]
+        rec = simulate_interacting(cfg, mdl, GaussianLaw(1.0, 0.5))
+        rec.write_csv(tmp_path / "record.csv", form=form)
     assert sha((tmp_path / "record.csv").read_bytes()) == GOLDEN[f"{label}.{form}.record.csv"]
 
 
