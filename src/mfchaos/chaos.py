@@ -76,12 +76,10 @@ def oracle_mean_flow(config: SimConfig, model: ModelSpec, initial_law) -> Measur
     model zoo -- because then the ensemble mean satisfies a closed
     deterministic recursion, realized here by one noiseless particle.
     """
-    silent = replace(model, sigma=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-                     name=f"{model.name}-mean")
+    silent = replace(model, sigma=lambda t, x: np.zeros_like(x), name=f"{model.name}-mean")
     cfg = replace(config, N=1)
     rec = simulate_interacting(cfg, silent, ConstantLaw(initial_law.mean))
-    return MeasureFlow.point_flow(config.times, rec.values[:, 0], tag="oracle-mean",
-                                  initial_law=initial_law)
+    return MeasureFlow.point_flow(config.times, rec.values[:, 0], initial_law=initial_law)
 
 
 def build_reference_flow(config: SimConfig, model: ModelSpec, initial_law,
@@ -94,8 +92,7 @@ def build_reference_flow(config: SimConfig, model: ModelSpec, initial_law,
     sweeps step the M paths alongside their runs, one row at a time.
     """
     mean_flow = oracle_mean_flow(config, model, initial_law)
-    return FrozenFlow(config, model, mean_flow, M, rng.derive_seed(config.seed, _REF_STREAM),
-                      tag=f"reference-M{M}")
+    return FrozenFlow(config, model, mean_flow, M, rng.derive_seed(config.seed, _REF_STREAM))
 
 
 # ---------------------------------------------------------------------------

@@ -63,12 +63,21 @@ _DEFAULTS: dict[str, str] = {
 }
 
 # keys that are accepted but have no default (absent unless set)
-_OPTIONAL = {
-    "model.a", "model.c", "model.sigma0", "model.kappa", "model.theta",
-    "model.beta", "model.r", "model.m", "model.atoms", "model.alpha",
-    "init.value", "init.mean", "init.std", "init.tail", "init.lo", "init.hi",
-    "chaos.M", "chaos.bin_width", "solve.lambda",
-}
+_OPTIONAL = {"chaos.M", "chaos.bin_width", "solve.lambda"}
+_INIT_RENAMES = {"mean": "loc", "std": "scale"}   # init.<key> -> the law's parameter
+
+
+def _factory_keys(prefix: str, table: dict, renames=None) -> set[str]:
+    """A `<prefix>.*` key for each parameter some factory in table takes,
+    named as the parameter or as the key renames maps to it."""
+    key_of = {p: k for k, p in (renames or {}).items()}
+    return {f"{prefix}.{key_of.get(p, p)}" for factory in table.values()
+            for p in inspect.signature(factory).parameters}
+
+
+# every accepted key; the model.* and init.* ones are those the factories take
+_KEYS = {*_DEFAULTS, *_OPTIONAL, *_factory_keys("model", model_mod.MODEL_ZOO),
+         *_factory_keys("init", engine.INITIAL_LAWS, _INIT_RENAMES)}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -87,7 +96,7 @@ def parse_config_file(path: str) -> dict[str, str]:
         key, val = (s.strip() for s in line.split("=", 1))
         if key == "subcommand" or key.startswith("version."):
             continue   # manifest echo lines; a manifest doubles as a config
-        if key not in _DEFAULTS and key not in _OPTIONAL:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
         values[key] = val
     return values
@@ -100,7 +109,7 @@ class RunConfig:
         self.values = dict(_DEFAULTS)
         self.provided = set(values)
         for k, v in values.items():
-            if k not in _DEFAULTS and k not in _OPTIONAL:
+            if k not in _KEYS:
                 raise ConfigError(f"unknown key {k!r}")
             self.values[k] = v
 
@@ -147,12 +156,6 @@ class RunConfig:
     # -- assembled objects ---------------------------------------------------
 
     def sim_config(self) -> SimConfig:
-        if self.has("model.alpha"):
-            alpha = self.get_float("model.alpha")
-            if not (0.5 <= alpha <= 1.0):
-                raise ConfigError(
-                    f"key 'model.alpha': {alpha!r} outside the admissible "
-                    f"Hoelder range [1/2, 1]")
         self.get_count("sim.workers")
         try:
             return SimConfig(
@@ -195,15 +198,15 @@ class RunConfig:
         try:
             return factory(**params)
         except ValueError as e:
-            msg = str(e)
-            key = "model.alpha" if "alpha" in msg else "model"
-            if "alpha" in msg:
-                msg += " (admissible Hoelder range [1/2, 1])"
-            raise ConfigError(f"key {key!r}: {msg}") from e
+            # a factory's message opens with the parameter at fault, as SimConfig's
+            # with its field; one that opens otherwise (a ModelSpec check) names none
+            word = str(e).partition(" ")[0].rstrip(":")
+            key = f"model.{word}" if word in params else "model"
+            raise ConfigError(f"key {key!r}: {e}") from e
 
     def initial_law(self):
         cls, name, params = self._factory("init", engine.INITIAL_LAWS, "initial law",
-                                          {"mean": "loc", "std": "scale"})
+                                          _INIT_RENAMES)
         try:
             return cls(**params)
         except (TypeError, ValueError) as e:
@@ -293,15 +296,21 @@ def _sim_and_model(rc: RunConfig):
 # subcommands
 
 
+# record.form -> the table `simulate` fills as the run steps; the wide one
+# keeps no trajectory
+_RECORD_FORMS = {
+    "long": lambda cfg: engine.PathRecord.blank(cfg.times, (cfg.N,)),
+    "wide": lambda cfg: engine.WideSummary(cfg.times),
+}
+
+
 def _cmd_simulate(rc: RunConfig, art: ArtifactWriter) -> int:
     form = rc.raw("record.form")
-    if form not in engine.RECORD_FORMS:
+    if form not in _RECORD_FORMS:
         raise ConfigError(f"key 'record.form': unknown record form {form!r} "
-                          f"(available: {list(engine.RECORD_FORMS)})")
+                          f"(available: {list(_RECORD_FORMS)})")
     cfg, mdl = _sim_and_model(rc)
-    # filled as the run steps; the wide table keeps no trajectory
-    table = (engine.PathRecord.blank(cfg.times, (cfg.N,)) if form == "long"
-             else engine.WideSummary(cfg.times))
+    table = _RECORD_FORMS[form](cfg)
     engine.simulate_interacting(cfg, mdl, rc.initial_law(), observe=table.observe)
     table.write_csv(art.path_for("record.csv"))
     return 0

@@ -40,7 +40,7 @@ import numpy as np
 from . import rng
 from .measures import EmpiricalMeasure
 from .model import ModelError, ModelSpec
-from .paths import DelayMeasure, _ratio_as_int
+from .paths import SegmentBatch, _ratio_as_int
 from .table import write_table
 from .yamada import mollify_sigma
 
@@ -163,51 +163,6 @@ INITIAL_LAWS = {"constant": ConstantLaw, "gaussian": GaussianLaw, "pareto": Boun
 # ensemble state
 
 
-class SegmentBatch:
-    """Read-only view of every particle's segment, vectorized over particles.
-
-    The buffer is (N, width) for one system or (K, N, width) for a stack.
-    """
-
-    __slots__ = ("_buf", "_head", "r", "h")
-
-    def __init__(self, buf: np.ndarray, head: int, r: float, h: float):
-        self._buf = buf
-        self._head = head
-        self.r = r
-        self.h = h
-
-    def __len__(self) -> int:
-        return self._buf[..., 0].size   # particles, over every row of a stack
-
-    @property
-    def width(self) -> int:
-        return self._buf.shape[-1]
-
-    def _col(self, j: int) -> np.ndarray:
-        return self._buf[..., (self._head + j) % self.width]
-
-    @property
-    def current(self) -> np.ndarray:
-        return self._col(self.width - 1)
-
-    def value_at(self, s: float) -> np.ndarray:
-        """Per-particle linearly interpolated value at lag s in [-r, 0]."""
-        if self.width == 1:
-            return self.current
-        pos = (s + self.r) / self.h
-        j = int(np.floor(pos))
-        j = max(0, min(j, self.width - 2))
-        frac = pos - j
-        return (1.0 - frac) * self._col(j) + frac * self._col(j + 1)
-
-    def integral_against(self, m: DelayMeasure) -> np.ndarray:
-        out = np.zeros(self._buf.shape[:-1])
-        for s, w in zip(m.locations, m.weights):
-            out += w * self.value_at(float(s))
-        return out
-
-
 class ParticleEnsemble:
     """Per-particle ring buffers over the delay window plus stream identities.
 
@@ -276,8 +231,6 @@ class ParticleEnsemble:
 # ---------------------------------------------------------------------------
 # records
 
-RECORD_FORMS = ("long", "wide")   # PathRecord.write_csv layouts
-
 
 class WideSummary:
     """The `wide` record form of one system: per grid time, five
@@ -337,19 +290,12 @@ class PathRecord:
         """Keep grid time k's state; the signature of `_run`'s hook."""
         self.values[k] = x
 
-    def write_csv(self, path, form: str = "long") -> None:
-        if form not in RECORD_FORMS:
-            raise ValueError(f"unknown record form {form!r}")
-        if form == "long":
-            index = [str(i) for i in range(self.n)]
-            write_table(path, "t,particle,value",
-                        (([repr(t)] * self.n, index, row)
-                         for t, row in zip(self.times.tolist(), self.values)))
-        else:
-            summary = WideSummary(self.times)
-            for k, row in enumerate(self.values):
-                summary.observe(k, row, np.sort(row))
-            summary.write_csv(path)
+    def write_csv(self, path) -> None:
+        """The `long` record form: one line per grid time and particle."""
+        index = [str(i) for i in range(self.n)]
+        write_table(path, "t,particle,value",
+                    (([repr(t)] * self.n, index, row)
+                     for t, row in zip(self.times.tolist(), self.values)))
 
 
 @dataclass

@@ -8,14 +8,16 @@ in the measure), and a Hoelder pair (K_sigma, alpha) for sigma.
 `check_assumptions` probes the claims on random tuples; it can only
 certify that no violation was found.
 
-Coefficients are vectorized: x may be an ndarray (one entry per particle)
-and the segment argument may be a batch; the measure argument is a single
-EmpiricalMeasure shared by all particles of a step. When the engine steps a
-stack of K systems together, x is (K, N) with one system per row, and the
-segment batch is stacked the same way. The measure is then either one
-shared measure (a frozen flow's) or a stacked EmpiricalMeasure whose `mean`
-is a (K, 1) column, one entry per row, so a term written `c * mu.mean`
-broadcasts row by row. Coefficients must act elementwise across rows.
+Coefficients see one calling convention, in a run and in the audit alike:
+x is a float64 array with one entry per particle, the path drift's segment
+argument is a `paths.SegmentBatch` over the same particles, and the measure
+argument is a single EmpiricalMeasure shared by all particles of a step.
+When the engine steps a stack of K systems together, x is (K, N) with one
+system per row, and the segment batch is stacked the same way. The measure
+is then either one shared measure (a frozen flow's) or a stacked
+EmpiricalMeasure whose `mean` is a (K, 1) column, one entry per row, so a
+term written `c * mu.mean` broadcasts row by row. Coefficients must act
+elementwise across rows.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .measures import EmpiricalMeasure, w1
-from .paths import DelayMeasure, Segment, l1m_norm
+from .paths import DelayMeasure, Segment, SegmentBatch, l1m_norm
 
 
 class ModelError(Exception):
@@ -35,12 +37,13 @@ class ModelError(Exception):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Coefficients and declared constants; x may be (N,) or a (K, N) stack,
-    and mu.mean a float or a (K, 1) column (see the module docstring)."""
+    """Coefficients and declared constants; x is a float64 array, (N,) or a
+    (K, N) stack, the segment a SegmentBatch, and mu.mean a float or a
+    (K, 1) column (see the module docstring)."""
 
     name: str
     drift: Callable          # (t, x, mu) -> like x
-    path_drift: Callable     # (t, segment-or-batch, mu) -> per-particle values
+    path_drift: Callable     # (t, SegmentBatch, mu) -> per-particle values
     sigma: Callable          # (t, x) -> like x
     K_b: float               # one-sided drift constant, may be negative
     K_B: float
@@ -52,7 +55,7 @@ class ModelSpec:
 
     def __post_init__(self):
         if not (0.5 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in [0.5, 1], got {self.alpha!r}")
+            raise ValueError(f"alpha must lie in the Hoelder range [1/2, 1], got {self.alpha!r}")
         if self.K_B < 0 or self.K_sigma < 0:
             raise ValueError("K_B and K_sigma must be non-negative")
         if not np.isfinite([self.K_b, self.K_B, self.K_sigma]).all():
@@ -86,25 +89,22 @@ def eval_sigma(model: ModelSpec, t: float, x):
 
 
 def make_linear_model(a: float = -1.0, c: float = 0.5, sigma0: float = 0.2,
-                      p: float = 4.0, alpha: float = 1.0,
-                      sigma_sq_floor: float | None = None) -> ModelSpec:
+                      p: float = 4.0, alpha: float = 1.0) -> ModelSpec:
     """b = a*x + c*mean(mu), no path drift, constant diffusion."""
     def drift(t, x, mu):
-        return a * np.asarray(x, dtype=float) + c * mu.mean
+        return a * x + c * mu.mean
 
     def path_drift(t, seg, mu):
         return 0.0
 
     def sigma(t, x):
-        return np.full_like(np.asarray(x, dtype=float), sigma0)
+        return np.full_like(x, sigma0)
 
-    if sigma_sq_floor is None:
-        sigma_sq_floor = sigma0 ** 2
     return ModelSpec(
         name="linear", drift=drift, path_drift=path_drift, sigma=sigma,
         K_b=max(a, 0.0) + abs(c), K_B=0.0, K_sigma=abs(sigma0), alpha=alpha,
         delay_measure=DelayMeasure.dirac(0.0), moment_order=p,
-        sigma_sq_floor=sigma_sq_floor,
+        sigma_sq_floor=sigma0 ** 2,
     )
 
 
@@ -117,15 +117,14 @@ def make_sqrt_model(kappa: float = 1.0, theta: float = 1.0, c: float = 0.5,
     never clamped or reflected.
     """
     def drift(t, x, mu):
-        return kappa * (theta - np.asarray(x, dtype=float)) + c * mu.mean
+        return kappa * (theta - x) + c * mu.mean
 
     def path_drift(t, seg, mu):
         return 0.0
 
     def sigma(t, x):
-        # sigma0 * sqrt(|x|) in the one array abs allocates; a numpy scalar cannot be an out
-        s = np.abs(np.asarray(x, dtype=float))
-        s = np.sqrt(s, out=s if np.ndim(s) else None)
+        s = np.abs(x)   # sigma0 * sqrt(|x|) in the one array abs allocates
+        np.sqrt(s, out=s)
         s *= sigma0
         return s
 
@@ -149,17 +148,16 @@ def make_delay_model(beta: float = 1.0, r: float = 1.0, a: float = 0.0,
     elif m == "uniform":
         dm = DelayMeasure.uniform(r, atoms)
     else:
-        raise ValueError(f"unknown delay measure kind {m!r}")
+        raise ValueError(f"m must be 'dirac' or 'uniform', got {m!r}")
 
     def drift(t, x, mu):
-        return a * np.asarray(x, dtype=float)
+        return a * x
 
     def path_drift(t, seg, mu):
-        return beta * seg.integral_against(dm) if hasattr(seg, "integral_against") \
-            else beta * float(np.dot(dm.weights, [seg.interpolate(s) for s in dm.locations]))
+        return beta * seg.integral_against(dm)
 
     def sigma(t, x):
-        return np.full_like(np.asarray(x, dtype=float), sigma0)
+        return np.full_like(x, sigma0)
 
     return ModelSpec(
         name="delay", drift=drift, path_drift=path_drift, sigma=sigma,
@@ -226,7 +224,9 @@ def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), sample_count: int = 10_
     """Probe the declared constants on random (t, x, y, mu, nu) tuples.
 
     Pairs include near-coincident points (spacings down to 1e-8 of the box)
-    so Hoelder violations that only show at small scales are caught.
+    so Hoelder violations that only show at small scales are caught. Each
+    point is handed to the coefficients as the engine hands its particles:
+    a one-element array, and a one-particle SegmentBatch for the path drift.
     """
     lo, hi = float(box[0]), float(box[1])
     if not lo < hi:
@@ -239,8 +239,14 @@ def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), sample_count: int = 10_
     seg_len = (16 if r > 0 else 0) + 1
 
     def rand_segment():
-        vals = lo + (hi - lo) * rng.random(seg_len)
-        return Segment(r, h, vals) if r > 0 else Segment(0.0, h, vals[:1])
+        return lo + (hi - lo) * rng.random(seg_len)
+
+    def batch(vals):
+        return SegmentBatch(vals[None], 0, r, h)
+
+    def one(value) -> float:
+        """The value at the one particle; a coefficient may return a scalar that broadcasts."""
+        return float(np.ravel(value)[0])
 
     worst = {"drift": (-np.inf, None), "path": (-np.inf, None), "sigma": (-np.inf, None)}
     k_b_hat = -np.inf
@@ -267,9 +273,11 @@ def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), sample_count: int = 10_
         nu = EmpiricalMeasure(lo + width * rng.random(_MEASURE_SIZE))
         wmn = w1(mu, nu)
         dx = abs(x - y)
+        px, py = np.array([x]), np.array([y])
 
         # one-sided drift condition
-        lhs = (eval_drift(model, t, x, mu) - eval_drift(model, t, y, nu)) * np.sign(x - y)
+        gap = one(eval_drift(model, t, px, mu)) - one(eval_drift(model, t, py, nu))
+        lhs = gap * np.sign(x - y)
         rhs_scale = wmn + dx
         if rhs_scale > 0:
             ratio = float(lhs) / rhs_scale
@@ -279,7 +287,7 @@ def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), sample_count: int = 10_
             drift_viol = max(drift_viol, float(lhs) - model.K_b * rhs_scale)
 
         # Hoelder diffusion
-        dsig = abs(float(eval_sigma(model, t, x)) - float(eval_sigma(model, t, y)))
+        dsig = abs(one(eval_sigma(model, t, px)) - one(eval_sigma(model, t, py)))
         if dx > 0:
             ratio = dsig / dx ** model.alpha
             if ratio > k_sig_hat:
@@ -292,9 +300,9 @@ def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), sample_count: int = 10_
         # path-drift Lipschitz condition (every 4th sample: segments are costly)
         if i % 4 == 0:
             xi, eta = rand_segment(), rand_segment()
-            dB = abs(float(eval_path_drift(model, t, xi, mu))
-                     - float(eval_path_drift(model, t, eta, nu)))
-            norm = l1m_norm(xi - eta, model.delay_measure) + wmn
+            dB = abs(one(eval_path_drift(model, t, batch(xi), mu))
+                     - one(eval_path_drift(model, t, batch(eta), nu)))
+            norm = l1m_norm(Segment(r, h, xi - eta), model.delay_measure) + wmn
             if norm > 0:
                 ratio = dB / norm
                 if ratio > k_B_hat:
@@ -303,13 +311,13 @@ def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), sample_count: int = 10_
                 path_viol = max(path_viol, dB - model.K_B * norm)
 
     # zero-point bounds declared alongside the regularity conditions
-    zero_seg = Segment(r if r > 0 else 0.0, h, np.zeros(seg_len if r > 0 else 1))
+    zero_seg = batch(np.zeros(seg_len))
     delta0 = EmpiricalMeasure([0.0])
     bounds_ok = True
     for t in _T_GRID:
-        if abs(float(eval_sigma(model, float(t), 0.0))) > model.K_sigma + _TOL:
+        if abs(one(eval_sigma(model, float(t), np.zeros(1)))) > model.K_sigma + _TOL:
             bounds_ok = False
-        if abs(float(eval_path_drift(model, float(t), zero_seg, delta0))) > model.K_B + _TOL:
+        if abs(one(eval_path_drift(model, float(t), zero_seg, delta0))) > model.K_B + _TOL:
             bounds_ok = False
 
     # Hoelder exponent estimate: slope of the upper envelope of |dsigma|

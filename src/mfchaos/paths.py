@@ -1,9 +1,11 @@
 """Path segments on the trailing delay window and probability measures on it.
 
 A Segment holds the last stretch of a scalar path on a uniform grid over
-[-r, 0]; it is the state of a delay equation. A DelayMeasure is the atomic
-probability measure that weights the path-dependent drift. Both norms used
-on segments live here: the sup norm and the L1 norm against a DelayMeasure.
+[-r, 0]; it is the state of a delay equation. A SegmentBatch is that
+window for every particle at once, read from the engine's ring buffer. A
+DelayMeasure is the atomic probability measure that weights the
+path-dependent drift. Both norms used on segments live here: the sup norm
+and the L1 norm against a DelayMeasure.
 """
 
 from __future__ import annotations
@@ -83,6 +85,53 @@ class Segment:
         return f"Segment(r={self.r}, h={self.h}, n={len(self._buf)})"
 
 
+class SegmentBatch:
+    """Read-only view of every particle's segment, vectorized over particles:
+    what a model's path drift is handed, in a run and in the audit alike.
+
+    The buffer is (N, width) for one system or (K, N, width) for a stack, a
+    ring whose oldest column (lag -r) is `head`.
+    """
+
+    __slots__ = ("_buf", "_head", "r", "h")
+
+    def __init__(self, buf: np.ndarray, head: int, r: float, h: float):
+        self._buf = buf
+        self._head = head
+        self.r = r
+        self.h = h
+
+    def __len__(self) -> int:
+        return self._buf[..., 0].size   # particles, over every row of a stack
+
+    @property
+    def width(self) -> int:
+        return self._buf.shape[-1]
+
+    def _col(self, j: int) -> np.ndarray:
+        return self._buf[..., (self._head + j) % self.width]
+
+    @property
+    def current(self) -> np.ndarray:
+        return self._col(self.width - 1)
+
+    def value_at(self, s: float) -> np.ndarray:
+        """Per-particle linearly interpolated value at lag s in [-r, 0]."""
+        if self.width == 1:
+            return self.current
+        pos = (s + self.r) / self.h
+        j = int(np.floor(pos))
+        j = max(0, min(j, self.width - 2))
+        frac = pos - j
+        return (1.0 - frac) * self._col(j) + frac * self._col(j + 1)
+
+    def integral_against(self, m: DelayMeasure) -> np.ndarray:
+        out = np.zeros(self._buf.shape[:-1])
+        for s, w in zip(m.locations, m.weights):
+            out += w * self.value_at(float(s))
+        return out
+
+
 @dataclass(frozen=True)
 class DelayMeasure:
     """Atomic probability measure on [-r, 0]: (location, weight) pairs."""
@@ -118,7 +167,7 @@ class DelayMeasure:
     def uniform(cls, r: float, atoms: int) -> "DelayMeasure":
         """Atom quadrature of the uniform density on [-r, 0]."""
         if atoms < 1:
-            raise ValueError("need at least one atom")
+            raise ValueError(f"atoms must be >= 1, got {atoms!r}")
         if atoms == 1:
             return cls.dirac(-r / 2.0)
         return cls(np.linspace(-r, 0.0, atoms), np.full(atoms, 1.0 / atoms))

@@ -31,7 +31,7 @@ _PICARD_PROBE = 3
 class MeasureFlow:
     """One empirical measure per grid time, all with the same sample count."""
 
-    def __init__(self, times, values, tag: str = "", initial_law=None, presorted=False):
+    def __init__(self, times, values, initial_law=None, presorted=False):
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[0] != len(times):
@@ -45,7 +45,6 @@ class MeasureFlow:
             raise ValueError("flow time grid must be uniform and increasing")
         self.times = times
         self.values = values if presorted else np.sort(values, axis=1)
-        self.tag = tag
         self.initial_law = initial_law
 
     @property
@@ -65,22 +64,21 @@ class MeasureFlow:
         return EmpiricalMeasure(self.values[k], presorted=True)
 
     @classmethod
-    def from_record(cls, record, tag: str = "", initial_law=None) -> "MeasureFlow":
-        return cls(record.times, record.values, tag=tag, initial_law=initial_law)
+    def from_record(cls, record, initial_law=None) -> "MeasureFlow":
+        return cls(record.times, record.values, initial_law=initial_law)
 
     @classmethod
-    def point_flow(cls, times, centers, tag: str = "point", initial_law=None) -> "MeasureFlow":
+    def point_flow(cls, times, centers, initial_law=None) -> "MeasureFlow":
         """Point-mass flow: one atom per time (useful as an oracle mean flow)."""
         centers = np.asarray(centers, dtype=float)
-        return cls(times, centers[:, None], tag=tag, initial_law=initial_law, presorted=True)
+        return cls(times, centers[:, None], initial_law=initial_law, presorted=True)
 
     @classmethod
-    def constant_flow(cls, times, samples, tag: str = "constant",
-                      initial_law=None) -> "MeasureFlow":
+    def constant_flow(cls, times, samples, initial_law=None) -> "MeasureFlow":
         """The same sample set at every time (the standard initial guess)."""
         samples = np.sort(np.asarray(samples, dtype=float))
         vals = np.tile(samples, (len(times), 1))
-        return cls(times, vals, tag=tag, initial_law=initial_law, presorted=True)
+        return cls(times, vals, initial_law=initial_law, presorted=True)
 
     def w1_curve(self, other: "MeasureFlow") -> np.ndarray:
         if self.steps != other.steps or abs(self.times[-1] - other.times[-1]) > 1e-12:
@@ -110,10 +108,9 @@ class FrozenFlow(MeasureFlow):
     `frozen_law`, and keeps every row."""
 
     def __init__(self, config: SimConfig, model: ModelSpec, flow: MeasureFlow, M: int,
-                 seed: int, tag: str = ""):
+                 seed: int):
         # the stored rows, and what MeasureFlow checks of them, come with `values`
         self.times = config.times
-        self.tag = tag
         self.initial_law = flow.initial_law
         self._law = (config, model, flow, M, seed)
         self._values = None
@@ -197,11 +194,11 @@ def apply_phi(config: SimConfig, model: ModelSpec, flow: MeasureFlow, M: int,
     """
     if M < 2:
         raise ValueError("need at least two paths per iteration")
-    return frozen_law(config, model, flow, M, seed, tag="iterate")
+    return frozen_law(config, model, flow, M, seed)
 
 
 def frozen_law(config: SimConfig, model: ModelSpec, flow: MeasureFlow, M: int,
-               seed: int, tag: str = "") -> MeasureFlow:
+               seed: int) -> MeasureFlow:
     """Empirical law of M paths driven by the frozen flow, kept from the
     rows each step sorts anyway, so no record is kept or sorted again.
     `FrozenFlow` is the same law stepped when it is read."""
@@ -211,8 +208,7 @@ def frozen_law(config: SimConfig, model: ModelSpec, flow: MeasureFlow, M: int,
         values[k] = xs
 
     simulate_frozen(config, model, flow, M, seed, observe=keep)
-    return MeasureFlow(config.times, values, tag=tag, initial_law=flow.initial_law,
-                       presorted=True)
+    return MeasureFlow(config.times, values, initial_law=flow.initial_law, presorted=True)
 
 
 @dataclass
@@ -251,8 +247,7 @@ def solve_fixed_point(config: SimConfig, model: ModelSpec, initial_law, M: int,
     """
     lam = default_lambda(model) if lam is None else float(lam)
     init_samples = initial_law.sample(rng.derive_seed(config.seed, _PICARD, 0), M)
-    flow = MeasureFlow.constant_flow(config.times, init_samples, tag="initial-guess",
-                                     initial_law=initial_law)
+    flow = MeasureFlow.constant_flow(config.times, init_samples, initial_law=initial_law)
 
     def sub_seed(it: int) -> int:
         return rng.derive_seed(config.seed, _PICARD, 1 if common_noise else it + 1)
@@ -271,7 +266,6 @@ def solve_fixed_point(config: SimConfig, model: ModelSpec, initial_law, M: int,
     for it in range(max_iter):
         r = rho_metric(flow, new, lam)
         rhos.append(r)
-        new.tag = f"iterate-{it + 1}"
         flow = new
         if r < tol:
             return FixedPointResult(flow, rhos, True, "tol", noise_floor, lam)

@@ -179,13 +179,8 @@ class MollifiedSigma:
     weights: np.ndarray
 
     def __call__(self, t, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
         shifted = x[..., None] - self.nodes / self.n
-        vals = self.model.sigma(t, shifted)
-        out = np.asarray(vals, dtype=float) @ self.weights
-        return float(out[0]) if scalar else out
+        return self.model.sigma(t, shifted) @ self.weights
 
 
 def mollify_sigma(model: ModelSpec, n: int) -> MollifiedSigma:

@@ -4,6 +4,7 @@ import stat
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mfchaos import cli, engine
@@ -48,6 +49,10 @@ BAD_INPUT = {
     "tv-study-no-times": ("tv-study", "--set", "chaos.times="),
     "unknown-init-law": ("simulate", "--set", "init.name=cauchy"),
     "delay-fractional-atoms": ("simulate", "--set", "model.name=delay", "--set", "model.atoms=2.5"),
+    # a model factory's own complaint about one of its parameters
+    "delay-unknown-measure": ("simulate", "--set", "model.name=delay", "--set", "model.m=3"),
+    "delay-no-atoms": ("simulate", "--set", "model.name=delay", "--set", "model.m=uniform",
+                       "--set", "model.atoms=0"),
 }
 
 # cases of BAD_INPUT whose one config error line names the key at fault
@@ -57,6 +62,8 @@ NAMED_KEY = {
     "tv-study-no-times": "chaos.times",
     "unknown-init-law": "init.name",
     "delay-fractional-atoms": "model.atoms",
+    "delay-unknown-measure": "model.m",
+    "delay-no-atoms": "model.atoms",
 }
 
 # `simulate` runs whose wide record.csv is summarized as they step; N is
@@ -109,8 +116,8 @@ class TestConfigParsing:
 
     def test_alpha_out_of_range_cites_interval(self):
         rc = parse_config(None, {"model.alpha": "0.3"})
-        with pytest.raises(ConfigError, match=r"\[1/2, 1\]"):
-            rc.sim_config()
+        with pytest.raises(ConfigError, match=r"^key 'model.alpha': .*\[1/2, 1\]"):
+            rc.model()
 
     def test_flag_overrides_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -215,7 +222,10 @@ class TestArtifacts:
         rc = parse_config(None, {"seed": "3", **dict(a.split("=") for a in argv[1::2])})
         cfg, mdl = cli._sim_and_model(rc)
         rec = engine.simulate_interacting(cfg, mdl, rc.initial_law())
-        rec.write_csv(tmp_path / "whole.csv", form="wide")
+        whole = engine.WideSummary(rec.times)
+        for k, row in enumerate(rec.values):
+            whole.observe(k, row, np.sort(row))
+        whole.write_csv(tmp_path / "whole.csv")
         assert (tmp_path / "cli" / "record.csv").read_bytes() == \
             (tmp_path / "whole.csv").read_bytes()
 

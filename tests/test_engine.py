@@ -521,7 +521,7 @@ class TestRecord:
         cfg = SimConfig(T=0.2, dt=0.1, N=3, seed=0)
         rec = simulate_interacting(cfg, make_linear_model(), GAUSS)
         p = tmp_path / "rec.csv"
-        rec.write_csv(p, form="long")
+        rec.write_csv(p)
         rows = p.read_text().strip().splitlines()
         assert rows[0] == "t,particle,value"
         t, i, v = rows[4].split(",")
@@ -531,9 +531,10 @@ class TestRecord:
 
     def test_wide_form_headers(self, tmp_path):
         cfg = SimConfig(T=0.2, dt=0.1, N=8, seed=0)
-        rec = simulate_interacting(cfg, make_linear_model(), GAUSS)
+        summary = WideSummary(cfg.times)
+        simulate_interacting(cfg, make_linear_model(), GAUSS, observe=summary.observe)
         p = tmp_path / "rec.csv"
-        rec.write_csv(p, form="wide")
+        summary.write_csv(p)
         assert p.read_text().splitlines()[0] == "t,q05,q25,q50,q75,q95,mean"
 
     @pytest.mark.parametrize("width", [1, 7], ids=["contiguous", "ring-buffer-column"])

@@ -26,8 +26,9 @@ import pytest
 from mfchaos import cli, rng
 from mfchaos.chaos import (build_reference_flow, coupling_error_curve, estimate_chaos_rate,
                            marginal_tv_study, oracle_mean_flow, stability_perturbation_test)
-from mfchaos.engine import (GaussianLaw, ParticleEnsemble, SimConfig, simulate_coupled,
-                            simulate_frozen, simulate_interacting, step_interacting)
+from mfchaos.engine import (GaussianLaw, ParticleEnsemble, PathRecord, SimConfig, WideSummary,
+                            simulate_coupled, simulate_frozen, simulate_interacting,
+                            step_interacting)
 from mfchaos.model import make_delay_model, make_linear_model, make_sqrt_model
 from mfchaos.solver import solve_fixed_point
 
@@ -116,6 +117,8 @@ GOLDEN = {
         "29e7f49fd2ea6f49211f4e4f14c0ba27e9497613bdd5ba9b046e2576983b75cf",
     "yamada_audit.csv":
         "101459e2f2135cc170fe24ac5ae6cffcd6de53c62557d4e91d8a55490865e48f",
+    "delay.assumptions.csv":
+        "e5eea97512d457ae04b7fba5ba13660673568e5e3265176740be0e57df7567da",
 }
 
 
@@ -274,8 +277,9 @@ def test_record_csv(tmp_path, label, form):
     else:
         mdl, cfg = {"linear": (make_linear_model(), CFG),
                     "delay": (delay_model(), DELAY_CFG)}[label]
-        rec = simulate_interacting(cfg, mdl, GaussianLaw(1.0, 0.5))
-        rec.write_csv(tmp_path / "record.csv", form=form)
+        table = PathRecord.blank(cfg.times, (cfg.N,)) if form == "long" else WideSummary(cfg.times)
+        simulate_interacting(cfg, mdl, GaussianLaw(1.0, 0.5), observe=table.observe)
+        table.write_csv(tmp_path / "record.csv")
     assert sha((tmp_path / "record.csv").read_bytes()) == GOLDEN[f"{label}.{form}.record.csv"]
 
 
@@ -283,7 +287,12 @@ def test_record_csv(tmp_path, label, form):
     # the linear model's audit holds a `nan` estimate and an empty declared cell
     ("assumptions.csv", ["check-assumptions", "--set", "check.samples=2000"]),
     ("yamada_audit.csv", ["yamada-verify", "--epsilon", "0.1", "--set", "yamada.n_list=4,16"]),
+    # a path drift that integrates a one-particle batch against uniform atoms
+    ("delay.assumptions.csv", ["check-assumptions", "--set", "model.name=delay",
+                               "--set", "model.m=uniform", "--set", "model.atoms=4",
+                               "--set", "check.samples=2000"]),
 ])
 def test_cli_audit_csv(tmp_path, name, argv):
     assert cli.main([*argv, "--seed", str(SEED), "--out", str(tmp_path)]) == 0
-    assert sha((tmp_path / name).read_bytes()) == GOLDEN[name]
+    artifact = ".".join(name.split(".")[-2:])   # a digest's name ends in its file's
+    assert sha((tmp_path / artifact).read_bytes()) == GOLDEN[name]

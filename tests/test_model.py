@@ -5,7 +5,7 @@ from mfchaos.measures import EmpiricalMeasure
 from mfchaos.model import (ModelSpec, check_assumptions, eval_drift,
                            eval_path_drift, eval_sigma, make_delay_model,
                            make_linear_model, make_model, make_sqrt_model)
-from mfchaos.paths import DelayMeasure, Segment
+from mfchaos.paths import DelayMeasure, SegmentBatch
 
 
 def point_measure(x):
@@ -24,13 +24,13 @@ class TestEval:
 
     def test_sqrt_sigma_closed_form(self):
         mdl = make_sqrt_model(sigma0=1.0)
-        assert float(eval_sigma(mdl, 0.0, 4.0)) == pytest.approx(2.0)
+        assert eval_sigma(mdl, 0.0, np.array([4.0]))[0] == pytest.approx(2.0)
         assert mdl.alpha == 0.5
 
     def test_delay_path_drift_uses_measure(self):
         mdl = make_delay_model(beta=2.0, r=1.0)
-        seg = Segment(1.0, 0.25, [3.0, 0.0, 0.0, 0.0, 0.0])
-        assert float(eval_path_drift(mdl, 0.0, seg, point_measure(0.0))) == pytest.approx(6.0)
+        seg = SegmentBatch(np.array([[3.0, 0.0, 0.0, 0.0, 0.0]]), 0, 1.0, 0.25)   # one particle
+        assert eval_path_drift(mdl, 0.0, seg, point_measure(0.0))[0] == pytest.approx(6.0)
 
     def test_eval_is_pure(self):
         mdl = make_sqrt_model()
@@ -99,6 +99,23 @@ class TestCheckAssumptions:
         rep = check_assumptions(mdl, sample_count=10_000, seed=4)
         assert rep.all_ok
         assert rep.K_B_hat <= 0.8 + rep.tol
+
+    def test_coefficients_get_the_engines_types(self):
+        # written against what a run hands them: the batch's own integral,
+        # and a square root taken in place on the array abs allocates
+        dm = DelayMeasure.uniform(1.0, 4)
+
+        def sigma(t, x):
+            s = np.abs(x)
+            np.sqrt(s, out=s)
+            return s
+
+        mdl = ModelSpec(name="custom", drift=lambda t, x, mu: -x,
+                        path_drift=lambda t, seg, mu: seg.integral_against(dm), sigma=sigma,
+                        K_b=0.0, K_B=1.0, K_sigma=1.0, alpha=0.5, delay_measure=dm)
+        rep = check_assumptions(mdl, sample_count=400, seed=6)
+        assert rep.all_ok
+        assert 0.0 < rep.K_B_hat <= 1.0 + rep.tol
 
     def test_report_carries_audit_disclaimer(self):
         rep = check_assumptions(make_linear_model(), sample_count=500, seed=5)

@@ -102,7 +102,7 @@ class TestApplyPhi:
             tracemalloc.stop()
         # the flow and one step's temporaries; a whole record sorted again took twice the flow
         assert peak < 1.5 * out.values.nbytes
-        assert out.tag == "iterate" and out.initial_law == GAUSS
+        assert out.initial_law == GAUSS
 
     def test_needs_two_paths(self):
         mdl = make_linear_model()

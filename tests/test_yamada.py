@@ -134,7 +134,7 @@ class TestMollify:
         vals = sn(0.0, x)
         slopes = np.abs(np.diff(vals) / np.diff(x))
         assert slopes.max() < 10.0 * np.sqrt(32)   # K_n finite; scale ~ sqrt(n)
-        assert abs(sn(0.0, 0.0)) <= mdl.K_sigma
+        assert abs(sn(0.0, np.zeros(1))[0]) <= mdl.K_sigma
 
     def test_invalid_n_rejected(self):
         with pytest.raises(ValueError):
