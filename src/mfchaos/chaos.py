@@ -26,6 +26,7 @@ from .engine import (ConstantLaw, GaussianLaw, ParticleEnsemble, SimConfig, coup
                      simulate_interacting)
 from .engine import simulate_coupled  # noqa: F401  (perfbench/tracer.py wraps it by this name)
 from .model import ModelSpec
+from .paths import _ratio_as_int
 from .solver import FrozenFlow, MeasureFlow, StreamedFlow
 from .table import write_table
 from .measures import EmpiricalMeasure, tv_estimate
@@ -176,16 +177,16 @@ def _pairing_sups(config: SimConfig, model: ModelSpec, reference: MeasureFlow, N
 
 
 def _one_coupled_run(config: SimConfig, model: ModelSpec, reference: MeasureFlow,
-                     N: int, replicas: int, master_seed: int):
+                     N: int, replicas: int):
     """Every replica at one N, scored in W1 and in the pairing gap while it
     steps: a stepper whose result is one RunDiagnostics per replica.
 
-    Replica r runs with seed derive_seed(master_seed, N, r). At each grid
+    Replica r runs with seed derive_seed(config.seed, N, r). At each grid
     time the sorted stack the step builds is scored against the reference,
     which is read at that grid time only. A row gets its O(M) exact W1 only
     where `_w1_upper_bound` lets its sup rise.
     """
-    seeds = _replica_seeds(master_seed, N, replicas)
+    seeds = _replica_seeds(config.seed, N, replicas)
     w1_sup = np.zeros(2 * replicas)    # interacting rows, then their twins
     bound = _w1_upper_bound(reference, N)
 
@@ -291,8 +292,7 @@ def _check_sweep(N_list, replicas: int) -> None:
 def _coupled_sweep(config: SimConfig, model: ModelSpec, reference: MeasureFlow,
                    N_list, replicas: int, workers: int = 1) -> list[RunDiagnostics]:
     _check_sweep(N_list, replicas)
-    per_n = _per_n(lambda flow, N: _one_coupled_run(config, model, flow, N, replicas,
-                                                    config.seed),
+    per_n = _per_n(lambda flow, N: _one_coupled_run(config, model, flow, N, replicas),
                    reference, N_list, workers)
     return [d for runs in per_n for d in runs]
 
@@ -375,19 +375,15 @@ def marginal_tv_study(config_base: SimConfig, model: ModelSpec, reference: Measu
         raise ValueError(
             "model does not declare a uniform ellipticity floor (sigma_sq_floor > 0); "
             "the total-variation study requires one")
-    if reference.initial_law is None:
-        raise ValueError("reference flow carries no initial law to sample runs from")
     if replicas < 1:
         raise ValueError("need at least one replica")
     N_list = [int(n) for n in N_list]
     _check_increasing(N_list)
+    engine._check_fit(reference, config_base)
     times = [float(t) for t in times]
-    k_idx = []
-    for t in times:
-        k = int(round(t / config_base.dt))
-        if abs(k * config_base.dt - t) > 1e-9 or not (0 <= k <= config_base.steps):
-            raise ValueError(f"study time {t!r} is not on the simulation grid")
-        k_idx.append(k)
+    k_idx = [_ratio_as_int(t, config_base.dt, "study time") for t in times]
+    if not all(0 <= k <= config_base.steps for k in k_idx):
+        raise ValueError(f"study times must lie in [0, T = {config_base.T!r}], got {times}")
 
     def run_study(flow, N: int):
         seeds = _replica_seeds(config_base.seed, N, replicas)

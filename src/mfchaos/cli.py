@@ -210,7 +210,10 @@ class RunConfig:
         try:
             return cls(**params)
         except (TypeError, ValueError) as e:
-            raise ConfigError(f"key 'init.name': bad parameters for {name!r}: {e}") from e
+            word = str(e).partition(" ")[0]   # as in `model`, the parameter at fault
+            key = {law: key for key, law in _INIT_RENAMES.items()}.get(word, word)
+            key = f"init.{key}" if word in params else "init.name"
+            raise ConfigError(f"key {key!r}: bad parameters for {name!r}: {e}") from e
 
     def manifest_lines(self, subcommand: str) -> list[str]:
         lines = [f"subcommand = {subcommand}"]

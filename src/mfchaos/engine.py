@@ -135,8 +135,12 @@ class BoundedParetoLaw:
     name: str = "pareto"
 
     def __post_init__(self):
-        if not (0 < self.lo < self.hi and self.tail > 0):
-            raise ValueError("bounded Pareto needs 0 < lo < hi and tail > 0")
+        if not self.tail > 0:
+            raise ValueError(f"tail must be > 0, got {self.tail!r}")
+        if not self.lo > 0:
+            raise ValueError(f"lo must be > 0, got {self.lo!r}")
+        if not self.lo < self.hi < np.inf:
+            raise ValueError(f"hi must be finite and exceed lo = {self.lo!r}, got {self.hi!r}")
 
     def sample(self, seed: int, n: int) -> np.ndarray:
         u = rng.uniforms(seed, rng.STREAM_INIT, 0, n)
@@ -214,14 +218,15 @@ class ParticleEnsemble:
         self.step_index += 1
 
     @classmethod
-    def from_law(cls, config: SimConfig, initial_law, n: int | None = None,
-                 seed=None, stream_ids=None) -> "ParticleEnsemble":
-        """Initial values drawn from the law with `seed`; a list of seeds
-        gives a stack with one row per seed, each row drawn on its own."""
-        n = config.N if n is None else n
+    def from_law(cls, config: SimConfig, initial_law, seed=None,
+                 stream_ids=None) -> "ParticleEnsemble":
+        """config.N values drawn from the law with `seed` (config.seed by default);
+        a list of seeds gives a stack with one row per seed, each drawn on its own."""
+        if initial_law is None:
+            raise EngineError("no initial law to draw the ensemble from")
         seed = config.seed if seed is None else seed
         ids = None if stream_ids is None else np.asarray(stream_ids, int)
-        size, pick = (n, slice(None)) if ids is None else (int(ids.max()) + 1, ids)
+        size, pick = (config.N, slice(None)) if ids is None else (int(ids.max()) + 1, ids)
         if np.ndim(seed) == 0:
             return cls(config.r, config.dt, initial_law.sample(seed, size)[pick], stream_ids=ids)
         rows = np.array([initial_law.sample(s, size)[pick] for s in seed])
@@ -379,6 +384,13 @@ def _increments(seeds, k: int, ids, n_streams: int, out: np.ndarray) -> np.ndarr
 
 _OWN_LAW = ((Ellipsis, None),)   # every row sees its own empirical law
 
+
+def _check_fit(flow, config: SimConfig) -> None:
+    """A flow a run reads at its grid times must have its step count and horizon."""
+    if flow.steps != config.steps or abs(flow.times[-1] - config.T) > 1e-12:
+        raise EngineError("measure flow grid does not match the simulation grid")
+
+
 # Steps that draw at least this many values, over a stack's distinct seeds,
 # are drawn ahead on `_run`'s helper thread. Overlapping the rate sweep costs
 # CPU time, since its two threads hand the interpreter lock back and forth
@@ -396,7 +408,8 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
     The ensemble is one system (seeds is then one seed) or a (K, N) stack
     whose row i is driven by seeds[i]. Each group (rows, flow) names the
     measure its rows see: flow.measure_at(k), or with flow None each row's
-    own empirical law. The run reports through observe(k, x, xs) alone: it
+    own empirical law; every such flow must sit on the run's grid
+    (`_check_fit`). The run reports through observe(k, x, xs) alone: it
     sees the state x at every grid time k, the last one included, with xs
     sorted row by row; the next step overwrites both, so an observer copies
     what it keeps. With no observer the run keeps its record (a PathRecord
@@ -418,6 +431,9 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
     span = model.delay_measure.span   # atoms are read where declared, so all must fit
     if span > config.r + 1e-12:
         raise EngineError(f"model delay measure reaches lag -{span} but config.r = {config.r}")
+    for _, flow in groups:
+        if flow is not None:
+            _check_fit(flow, config)
     record = None
     if observe is None:
         record = PathRecord.blank(config.times, ensemble.current.shape)
@@ -538,45 +554,35 @@ def simulate_frozen(config: SimConfig, model: ModelSpec, flow, n_paths: int,
     """Independent paths driven by a frozen measure flow instead of the
     ensemble's own law. observe and lazy are those of `_run`: with no
     observer the record comes back, and with lazy True the run's stepper."""
-    if flow.steps != config.steps or abs(flow.times[-1] - config.T) > 1e-12:
-        raise EngineError("measure flow grid does not match the simulation grid")
-    if flow.initial_law is None:
-        raise EngineError("flow carries no initial law; attach one before freezing")
     cfg = replace(config, N=n_paths, seed=seed)
-    ens = ParticleEnsemble.from_law(cfg, flow.initial_law, seed=seed)
+    ens = ParticleEnsemble.from_law(cfg, flow.initial_law)
     return _run(cfg, model, ens, seed, groups=((Ellipsis, flow),), observe=observe, lazy=lazy)
 
 
 def coupled_stack(config: SimConfig, model: ModelSpec, reference_flow, seeds,
-                  initial_law=None, observe=None, lazy: bool = False):
+                  observe=None, lazy: bool = False):
     """Interacting systems and their reference-driven twins, one pair per
     seed, stepped as one (2K, N) stack.
 
     Rows 0..K-1 are the interacting systems, rows K..2K-1 their twins. Each
-    twin draws its own initial values with its system's seed and shares its
-    increments; only the measure they see differs. observe and lazy are
-    those of `_run`.
+    row draws its initial values from the reference's initial law with its
+    system's seed, and each twin shares its system's increments; only the
+    measure they see differs. observe and lazy are those of `_run`.
     """
-    if reference_flow.steps != config.steps:
-        raise EngineError("reference flow grid does not match the simulation grid")
-    law = initial_law if initial_law is not None else reference_flow.initial_law
-    if law is None:
-        raise EngineError("no initial law: pass one or use a flow that carries it")
     K = len(seeds)
     rows = list(seeds) * 2
-    ens = ParticleEnsemble.from_law(config, law, seed=rows)
+    ens = ParticleEnsemble.from_law(config, reference_flow.initial_law, seed=rows)
     groups = ((slice(0, K), None), (slice(K, 2 * K), reference_flow))
     return _run(config, model, ens, rows, groups, observe=observe, lazy=lazy)
 
 
-def simulate_coupled(config: SimConfig, model: ModelSpec, reference_flow,
-                     initial_law=None) -> CoupledRecord:
+def simulate_coupled(config: SimConfig, model: ModelSpec, reference_flow) -> CoupledRecord:
     """Interacting system and reference-driven twin on identical noise.
 
-    Both systems start from the same initial draws and consume the same
-    increment per (particle, step); only the measure they see differs.
+    Both start from the same draws of the reference's initial law and consume
+    the same increment per (particle, step); only the measure they see differs.
     """
-    values = coupled_stack(config, model, reference_flow, [config.seed], initial_law).values
+    values = coupled_stack(config, model, reference_flow, [config.seed]).values
     times = config.times
     return CoupledRecord(times=times,
                          interacting=PathRecord(times=times, values=values[:, 0]),

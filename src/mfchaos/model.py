@@ -143,6 +143,8 @@ def make_delay_model(beta: float = 1.0, r: float = 1.0, a: float = 0.0,
     m = "dirac" puts all mass at lag -r (pure discrete delay); m = "uniform"
     uses an atom quadrature of the uniform density on [-r, 0].
     """
+    if not (np.isfinite(r) and r >= 0):
+        raise ValueError(f"r must be finite and >= 0, got {r!r}")
     if m == "dirac":
         dm = DelayMeasure.dirac(-r)
     elif m == "uniform":

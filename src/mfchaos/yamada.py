@@ -39,7 +39,8 @@ class YamadaFunction:
     log-space, where the integrand is piecewise linear and the rule is
     exact; V comes from a cumulative trapezoid of V' in x. Point queries
     interpolate with a local trapezoid correction, keeping the evaluation
-    error well under 1e-8.
+    error well under 1e-8. Each function takes a float array and returns
+    one of its shape.
     """
 
     __slots__ = ("epsilon", "support", "_a", "_c", "_nodes", "_psi", "_cdf", "_v")
@@ -71,9 +72,6 @@ class YamadaFunction:
 
     def psi(self, x):
         """The kernel itself; zero outside the support."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
         lo, hi = self.support
         out = np.zeros_like(x)
         m = (x > lo) & (x < hi)
@@ -82,7 +80,7 @@ class YamadaFunction:
         ramp_lo = hyp * (np.log(xm / lo) / self._a)
         ramp_hi = hyp * (np.log(hi / xm) / self._a)
         out[m] = self._c * np.minimum(np.minimum(ramp_lo, hyp), ramp_hi)
-        return float(out[0]) if scalar else out
+        return out
 
     def mass(self) -> float:
         """Quadrature check of the kernel mass (should be 1)."""
@@ -90,9 +88,7 @@ class YamadaFunction:
         return float(np.trapezoid(self._psi * self._nodes, tau))
 
     def V(self, x):
-        q = np.abs(np.asarray(x, dtype=float))
-        scalar = q.ndim == 0
-        q = np.atleast_1d(q)
+        q = np.abs(x)
         lo, hi = self.support
         out = np.zeros_like(q)
         above = q >= hi
@@ -104,19 +100,13 @@ class YamadaFunction:
             c0 = self._cdf[idx]
             c1 = np.interp(qs, self._nodes, self._cdf)
             out[mid] = self._v[idx] + 0.5 * (c0 + c1) * (qs - self._nodes[idx])
-        return float(out[0]) if scalar else out
+        return out
 
     def V_prime(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        r = np.interp(np.abs(x), self._nodes, self._cdf, left=0.0, right=1.0)
-        out = np.sign(x) * r
-        return float(out[0]) if scalar else out
+        return np.sign(x) * np.interp(np.abs(x), self._nodes, self._cdf, left=0.0, right=1.0)
 
     def V_second(self, x):
-        out = self.psi(np.abs(np.atleast_1d(np.asarray(x, dtype=float))))
-        return float(out[0]) if np.ndim(x) == 0 else out
+        return self.psi(np.abs(x))
 
 
 def make_yamada(epsilon: float) -> YamadaFunction:

@@ -244,7 +244,7 @@ class TestSkippedScoring:
             cfg = SimConfig(T=0.4, dt=0.02, N=16, seed=31)
         ref = build_reference_flow(cfg, mdl, GAUSS, M=256)
         for N in N_list:
-            got = engine._drain(_one_coupled_run(cfg, mdl, ref, N, 4, cfg.seed))
+            got = engine._drain(_one_coupled_run(cfg, mdl, ref, N, 4))
             assert repr(got) == repr(score_every_row(cfg, mdl, ref, N, 4, cfg.seed))
 
     def test_fewer_rows_reach_the_kernel_than_scoring_every_row(self, linear_setup, monkeypatch):
@@ -259,7 +259,7 @@ class TestSkippedScoring:
         monkeypatch.setattr(solver, "w1_sorted_rows", counting)
         replicas = 5
         for N in N_SMALL:
-            engine._drain(_one_coupled_run(CFG, mdl, ref, N, replicas, CFG.seed))
+            engine._drain(_one_coupled_run(CFG, mdl, ref, N, replicas))
         # skeleton curves included
         assert 0 < sum(rows) < 2 * replicas * len(N_SMALL) * (CFG.steps + 1)
 
@@ -276,7 +276,7 @@ class TestStackedReplicas:
             cfg = SimConfig(T=0.4, dt=0.02, N=16, seed=31, r=0.06)
         ref = build_reference_flow(cfg, mdl, GAUSS, M=256)
         for N in (16, 24):   # nesting with M and not
-            runs = engine._drain(_one_coupled_run(cfg, mdl, ref, N, 3, cfg.seed))
+            runs = engine._drain(_one_coupled_run(cfg, mdl, ref, N, 3))
             assert len(runs) == 3
             for r, got in enumerate(runs):
                 seed = rng.derive_seed(cfg.seed, N, r)
@@ -297,7 +297,7 @@ class TestStackedReplicas:
         alone = []
         with np.errstate(over="ignore"):
             with pytest.raises(BlowUpError) as stacked:
-                engine._drain(_one_coupled_run(cfg, cubic, flow, 4, 5, cfg.seed))
+                engine._drain(_one_coupled_run(cfg, cubic, flow, 4, 5))
             for r in range(5):
                 seed = rng.derive_seed(cfg.seed, 4, r)
                 with pytest.raises(BlowUpError) as one:
@@ -313,7 +313,7 @@ class TestStackedReplicas:
         cfg = SimConfig(T=1.0, dt=0.1, N=4, seed=0)
         flow = MeasureFlow.constant_flow(cfg.times, [2.0], initial_law=ConstantLaw(2.0))
         with pytest.raises(ModelError, match="non-finite"):
-            engine._drain(_one_coupled_run(cfg, nan_sigma, flow, 4, 3, cfg.seed))
+            engine._drain(_one_coupled_run(cfg, nan_sigma, flow, 4, 3))
 
 
 class TestPerNDispatch:
@@ -368,7 +368,7 @@ class TestPerNDispatch:
         N_list = [64, 16, 64]
 
         def run(flow, N):
-            return _one_coupled_run(CFG, mdl, flow, N, 2, CFG.seed)
+            return _one_coupled_run(CFG, mdl, flow, N, 2)
         one = chaos._per_n(run, ref, N_list, 1)
         two = chaos._per_n(run, ref, N_list, 2)
         assert [d.N for runs in two for d in runs] == [64, 64, 16, 16, 64, 64]
@@ -451,6 +451,56 @@ class TestTvStudy:
         assert holds
         assert var ** 2 <= 2.0 * ent + 1e-12
 
+    def test_off_grid_time_rejected_and_horizon_accepted(self, linear_setup):
+        mdl, ref = linear_setup
+        with pytest.raises(ValueError, match="not an integer multiple"):
+            marginal_tv_study(CFG, mdl, ref, [16], 1, [0.51])
+        with pytest.raises(ValueError, match=r"\[0, T"):
+            marginal_tv_study(CFG, mdl, ref, [16], 1, [CFG.T + CFG.dt])
+        rep = marginal_tv_study(CFG, mdl, ref, [16], 1, [CFG.T])
+        assert rep.times == [CFG.T] and np.isfinite(rep.table).all()
+
+
+class TestFlowFit:
+    """Every flow that drives or scores a run sits on the run's grid and
+    carries the law the run starts from."""
+
+    CFG = SimConfig(T=0.2, dt=0.02, N=8, seed=1)
+
+    @staticmethod
+    def reference(T, dt):
+        return build_reference_flow(SimConfig(T=T, dt=dt, N=8, seed=1), make_linear_model(),
+                                    GAUSS, M=64)
+
+    @pytest.mark.parametrize("entry", [
+        lambda cfg, mdl, ref: simulate_coupled(cfg, mdl, ref),
+        lambda cfg, mdl, ref: estimate_chaos_rate(cfg, mdl, [4, 8, 16], 2, ref),
+        lambda cfg, mdl, ref: coupling_error_curve(cfg, mdl, ref, [4, 8, 16], 2),
+    ], ids=["simulate_coupled", "estimate_chaos_rate", "coupling_error_curve"])
+    def test_coupled_runs_reject_another_horizon(self, entry):
+        ref = self.reference(T=0.4, dt=0.04)   # the run's step count, twice its horizon
+        assert ref.steps == self.CFG.steps
+        with pytest.raises(engine.EngineError, match="grid does not match"):
+            entry(self.CFG, make_linear_model(), ref)
+
+    @pytest.mark.parametrize("T", [0.1, 0.4], ids=["shorter", "longer"])
+    def test_tv_study_rejects_another_horizon(self, T):
+        ref = self.reference(T=T, dt=self.CFG.dt)
+        with pytest.raises(engine.EngineError, match="grid does not match"):
+            marginal_tv_study(self.CFG, make_linear_model(), ref, [4, 8], 1, [0.1])
+
+    @pytest.mark.parametrize("entry", [
+        lambda cfg, mdl, flow: simulate_frozen(cfg, mdl, flow, 8, cfg.seed),
+        lambda cfg, mdl, flow: simulate_coupled(cfg, mdl, flow),
+        lambda cfg, mdl, flow: marginal_tv_study(cfg, mdl, flow, [4, 8], 1, [0.1]),
+        lambda cfg, mdl, flow: simulate_interacting(cfg, mdl, flow.initial_law),
+    ], ids=["simulate_frozen", "simulate_coupled", "marginal_tv_study", "simulate_interacting"])
+    def test_flow_without_initial_law(self, entry):
+        flow = MeasureFlow.constant_flow(self.CFG.times, [0.0, 1.0])
+        assert flow.initial_law is None
+        with pytest.raises(engine.EngineError, match="no initial law to draw the ensemble from"):
+            entry(self.CFG, make_linear_model(), flow)
+
 
 class TestStability:
     def test_zero_perturbation(self):
@@ -516,7 +566,7 @@ class TestStreamedReference:
             alone = {}
             for N in _GROWTH:
                 with pytest.raises(BlowUpError) as exc:
-                    engine._drain(_one_coupled_run(cfg, GROWS, ref, N, 2, cfg.seed))
+                    engine._drain(_one_coupled_run(cfg, GROWS, ref, N, 2))
                 alone[N] = exc.value
             assert alone[32].step < alone[16].step
             for workers in (1, 2):

@@ -53,6 +53,13 @@ BAD_INPUT = {
     "delay-unknown-measure": ("simulate", "--set", "model.name=delay", "--set", "model.m=3"),
     "delay-no-atoms": ("simulate", "--set", "model.name=delay", "--set", "model.m=uniform",
                        "--set", "model.atoms=0"),
+    "delay-negative-window": ("simulate", "--set", "model.name=delay", "--set", "model.r=-1"),
+    "delay-infinite-window": ("simulate", "--set", "model.name=delay", "--set", "model.r=inf"),
+    # an initial law's own complaint about one of its parameters
+    "pareto-hi-below-lo": ("simulate", "--set", "init.name=pareto", "--set", "init.lo=5",
+                           "--set", "init.hi=1"),
+    "pareto-zero-tail": ("simulate", "--set", "init.name=pareto", "--set", "init.tail=0"),
+    "pareto-unbounded": ("simulate", "--set", "init.name=pareto", "--set", "init.hi=inf"),
 }
 
 # cases of BAD_INPUT whose one config error line names the key at fault
@@ -64,6 +71,11 @@ NAMED_KEY = {
     "delay-fractional-atoms": "model.atoms",
     "delay-unknown-measure": "model.m",
     "delay-no-atoms": "model.atoms",
+    "delay-negative-window": "model.r",
+    "delay-infinite-window": "model.r",
+    "pareto-hi-below-lo": "init.hi",
+    "pareto-zero-tail": "init.tail",
+    "pareto-unbounded": "init.hi",
 }
 
 # `simulate` runs whose wide record.csv is summarized as they step; N is

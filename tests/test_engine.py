@@ -196,7 +196,7 @@ class TestInteracting:
             got = simulate_frozen(cfg, mdl, flow, cfg.N, cfg.seed).values
             expect = expect_twin
         else:
-            rec = simulate_coupled(cfg, mdl, flow, GAUSS)
+            rec = simulate_coupled(cfg, mdl, flow)
             got = rec.interacting.values
             assert rec.limit.values.tobytes() == np.array(expect_twin).tobytes()
         assert got.tobytes() == np.array(expect).tobytes()
@@ -359,8 +359,7 @@ class TestDrawAhead:
 
         def both():
             return (engine.coupled_stack(cfg, mdl, ref, self.SEEDS).values,
-                    engine._drain(_one_coupled_run(cfg, mdl, ref, self.ROW, len(self.SEEDS),
-                                                   cfg.seed)))
+                    engine._drain(_one_coupled_run(cfg, mdl, ref, self.ROW, len(self.SEEDS))))
 
         ahead_values, ahead_runs = both()
         monkeypatch.setattr(engine, "_AHEAD_MIN", 2 * len(self.SEEDS) * self.ROW + 1)
@@ -476,7 +475,7 @@ class TestCoupled:
         for N in (8, 16, 32, 64):
             cfg = SimConfig(T=1.0, dt=0.05, N=N, seed=0)
             ref = oracle_mean_flow(cfg, mdl, qlaw)
-            rec = simulate_coupled(cfg, mdl, ref, initial_law=qlaw)
+            rec = simulate_coupled(cfg, mdl, ref)
             # closed form: gap_i(k+1) = (1 + a dt) gap_i(k) + c dt (xbar_k - m_k)
             # with xbar and m both geometric, so gap is an explicit sum
             delta0 = qlaw.sample(0, N).mean() - qlaw.mean

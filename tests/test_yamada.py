@@ -41,8 +41,8 @@ class TestKernel:
 class TestV:
     def test_zero_at_origin(self):
         yw = make_yamada(0.1)
-        assert yw.V(0.0) == 0.0
-        assert yw.V_prime(0.0) == 0.0
+        assert yw.V(np.zeros(1))[0] == 0.0
+        assert yw.V_prime(np.zeros(1))[0] == 0.0
 
     @pytest.mark.parametrize("eps", EPS_GRID)
     def test_sandwich_between_abs_and_abs_minus_eps(self, eps):
@@ -86,10 +86,10 @@ class TestV:
         yw = make_yamada(0.3)
         lo, hi = yw.support
         for q in (0.05, 0.12, 0.29, 0.7):
-            inner = lambda y: (quad(yw.psi, lo, min(y, hi), limit=200)[0]
-                               if y > lo else 0.0)
+            inner = lambda y: (quad(lambda u: yw.psi(np.array([u]))[0], lo, min(y, hi),
+                                    limit=200)[0] if y > lo else 0.0)
             oracle, _ = quad(inner, lo, max(q, lo), limit=200)
-            assert yw.V(q) == pytest.approx(oracle, abs=1e-7)
+            assert yw.V(np.array([q]))[0] == pytest.approx(oracle, abs=1e-7)
 
 
 class TestMollify:
