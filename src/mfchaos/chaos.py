@@ -77,6 +77,8 @@ def oracle_mean_flow(config: SimConfig, model: ModelSpec, initial_law) -> Measur
     model zoo -- because then the ensemble mean satisfies a closed
     deterministic recursion, realized here by one noiseless particle.
     """
+    if initial_law is None:
+        raise engine.EngineError("no initial law to draw the ensemble from")
     silent = replace(model, sigma=lambda t, x: np.zeros_like(x), name=f"{model.name}-mean")
     cfg = replace(config, N=1)
     rec = simulate_interacting(cfg, silent, ConstantLaw(initial_law.mean))
@@ -388,7 +390,7 @@ def marginal_tv_study(config_base: SimConfig, model: ModelSpec, reference: Measu
     def run_study(flow, N: int):
         seeds = _replica_seeds(config_base.seed, N, replicas)
         cfg = replace(config_base, N=N)
-        ens = ParticleEnsemble.from_law(cfg, reference.initial_law, seed=seeds)
+        ens = ParticleEnsemble.from_law(cfg, model, reference.initial_law, seed=seeds)
         row = np.empty(len(times))
 
         def compare(k, x, xs):
@@ -428,7 +430,8 @@ def stability_perturbation_test(config: SimConfig, model: ModelSpec, delta: floa
     if delta < 0:
         raise ValueError("delta must be >= 0")
     x0 = initial_law.sample(config.seed, config.N)
-    ens = ParticleEnsemble(config.r, config.dt, np.array([x0, x0 + delta]), stacked=True)
+    ens = ParticleEnsemble(model.delay_measure.span, config.dt, np.array([x0, x0 + delta]),
+                           stacked=True)
     v = engine._run(config, model, ens, [config.seed, config.seed]).values
     gap = np.abs(v[:, 0] - v[:, 1]).mean(axis=1)
     return StabilityResult(times=config.times, mean_abs_diff=gap, delta=float(delta))

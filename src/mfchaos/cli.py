@@ -30,6 +30,7 @@ import scipy
 from . import __version__, chaos, engine, model as model_mod, solver, yamada
 from .engine import BlowUpError, EngineError, SimConfig
 from .model import ModelError
+from .paths import _ratio_as_int
 from .table import write_table
 
 
@@ -46,7 +47,6 @@ _DEFAULTS: dict[str, str] = {
     "sim.T": "1.0",
     "sim.dt": "0.01",
     "sim.N": "256",
-    "sim.r": "0.0",
     "sim.workers": "1",
     "record.form": "wide",
     "chaos.N_list": "64,128,256,512,1024,2048,4096",
@@ -55,7 +55,6 @@ _DEFAULTS: dict[str, str] = {
     "solve.M": "10000",
     "solve.tol": "1e-3",
     "solve.max_iter": "25",
-    "solve.common_noise": "0",
     "yamada.epsilon": "0.05,0.1,0.3",
     "yamada.n_list": "4,16,64,256",
     "check.box": "-3,3",
@@ -64,20 +63,17 @@ _DEFAULTS: dict[str, str] = {
 
 # keys that are accepted but have no default (absent unless set)
 _OPTIONAL = {"chaos.M", "chaos.bin_width", "solve.lambda"}
-_INIT_RENAMES = {"mean": "loc", "std": "scale"}   # init.<key> -> the law's parameter
 
 
-def _factory_keys(prefix: str, table: dict, renames=None) -> set[str]:
-    """A `<prefix>.*` key for each parameter some factory in table takes,
-    named as the parameter or as the key renames maps to it."""
-    key_of = {p: k for k, p in (renames or {}).items()}
-    return {f"{prefix}.{key_of.get(p, p)}" for factory in table.values()
+def _factory_keys(prefix: str, table: dict) -> set[str]:
+    """A `<prefix>.*` key for each parameter some factory in table takes."""
+    return {f"{prefix}.{p}" for factory in table.values()
             for p in inspect.signature(factory).parameters}
 
 
 # every accepted key; the model.* and init.* ones are those the factories take
 _KEYS = {*_DEFAULTS, *_OPTIONAL, *_factory_keys("model", model_mod.MODEL_ZOO),
-         *_factory_keys("init", engine.INITIAL_LAWS, _INIT_RENAMES)}
+         *_factory_keys("init", engine.INITIAL_LAWS)}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -107,7 +103,6 @@ class RunConfig:
 
     def __init__(self, values: dict[str, str]):
         self.values = dict(_DEFAULTS)
-        self.provided = set(values)
         for k, v in values.items():
             if k not in _KEYS:
                 raise ConfigError(f"unknown key {k!r}")
@@ -130,9 +125,6 @@ class RunConfig:
 
     def get_int(self, key: str) -> int:
         return self._convert(key, lambda s: int(str(s), 0), "an integer")
-
-    def get_bool(self, key: str) -> bool:
-        return self._convert(key, lambda s: ("0", "1").index(s.strip()) == 1, "0 or 1")
 
     def get_count(self, key: str) -> int:
         n = self.get_int(key)
@@ -161,18 +153,17 @@ class RunConfig:
             return SimConfig(
                 T=self.get_float("sim.T"), dt=self.get_float("sim.dt"),
                 N=self.get_int("sim.N"), seed=self.get_int("seed"),
-                r=self.get_float("sim.r"),
             )
         except ValueError as e:
             msg = str(e)
             field = msg.split()[0].rstrip(":")   # SimConfig names the field or grid at fault first
-            key = {"horizon": "sim.dt", "delay": "sim.r"}.get(field, "sim." + field)
+            key = "sim.dt" if field == "horizon" else "sim." + field
             raise ConfigError(f"key {key!r}: {msg}") from e
 
-    def _factory(self, prefix: str, table: dict, what: str, renames=None):
+    def _factory(self, prefix: str, table: dict, what: str):
         """The factory `<prefix>.name` picks from table, its name, and its
-        parameters from the other `<prefix>.*` keys (a key's name, or its
-        entry in renames), each read as the parameter's default is typed."""
+        parameters from the other `<prefix>.*` keys, each read as the
+        parameter's default is typed."""
         name = self.raw(prefix + ".name")
         if name not in table:
             raise ConfigError(f"key '{prefix}.name': unknown {what} {name!r} "
@@ -184,7 +175,6 @@ class RunConfig:
             if not key.startswith(prefix + ".") or key == prefix + ".name":
                 continue
             pname = key.split(".", 1)[1]
-            pname = (renames or {}).get(pname, pname)
             if pname not in accepted:
                 raise ConfigError(f"key {key!r}: {what} {name!r} does not take "
                                   f"parameter {pname!r}")
@@ -205,14 +195,12 @@ class RunConfig:
             raise ConfigError(f"key {key!r}: {e}") from e
 
     def initial_law(self):
-        cls, name, params = self._factory("init", engine.INITIAL_LAWS, "initial law",
-                                          _INIT_RENAMES)
+        cls, name, params = self._factory("init", engine.INITIAL_LAWS, "initial law")
         try:
             return cls(**params)
         except (TypeError, ValueError) as e:
             word = str(e).partition(" ")[0]   # as in `model`, the parameter at fault
-            key = {law: key for key, law in _INIT_RENAMES.items()}.get(word, word)
-            key = f"init.{key}" if word in params else "init.name"
+            key = f"init.{word}" if word in params else "init.name"
             raise ConfigError(f"key {key!r}: bad parameters for {name!r}: {e}") from e
 
     def manifest_lines(self, subcommand: str) -> list[str]:
@@ -279,19 +267,14 @@ def _write_lines(path: str, lines) -> None:
 
 
 def _sim_and_model(rc: RunConfig):
-    """Build (SimConfig, ModelSpec), adopting the model's delay span as the
-    simulation window when sim.r was left unset."""
+    """Build (SimConfig, ModelSpec); the run's delay window is the model's,
+    which must sit on the time grid."""
     mdl = rc.model()
-    span = mdl.delay_measure.span
     cfg = rc.sim_config()
-    if span > 0:
-        if "sim.r" not in rc.provided:
-            rc.values["sim.r"] = repr(span)
-            cfg = rc.sim_config()
-        elif cfg.r + 1e-12 < span:
-            raise ConfigError(
-                f"key 'sim.r': window {cfg.r} is shorter than the model's "
-                f"delay span {span}")
+    try:
+        _ratio_as_int(mdl.delay_measure.span, cfg.dt, "delay window")
+    except ValueError as e:
+        raise ConfigError(f"key 'model.r': {e}") from e
     return cfg, mdl
 
 
@@ -324,8 +307,7 @@ def _cmd_solve(rc: RunConfig, art: ArtifactWriter) -> int:
     lam = rc.get_float("solve.lambda") if rc.has("solve.lambda") else None
     res = solver.solve_fixed_point(
         cfg, mdl, rc.initial_law(), M=rc.get_int("solve.M"), lam=lam,
-        tol=rc.get_float("solve.tol"), max_iter=rc.get_count("solve.max_iter"),
-        common_noise=rc.get_bool("solve.common_noise"))
+        tol=rc.get_float("solve.tol"), max_iter=rc.get_count("solve.max_iter"))
     res.flow.write_csv(art.path_for("flow.csv"))
     res.write_diagnostics_csv(art.path_for("diagnostics.csv"))
     if not res.converged:

@@ -1,12 +1,11 @@
 """Euler-Maruyama stepping for the interacting particle system and friends.
 
 All simulators share one noise contract: the Brownian increment of
-particle i at step k is a pure function of (seed, stream id of i, k),
-regenerated from a counter-based generator. Consequences: records are
-bit-identical across runs, two systems stepped against the same seed
-share their noise exactly (which is how the synchronous coupling works),
-and permuting particles together with their stream ids permutes
-trajectories exactly.
+particle i at step k is element i of step k's draw, a pure function of
+(seed, k, i) regenerated from a counter-based generator. Consequences:
+records are bit-identical across runs, and two systems stepped against
+the same seed share their noise exactly (which is how the synchronous
+coupling works).
 
 The empirical measure a step sees is built once from the full state
 before any particle moves, so no particle ever observes a partially
@@ -69,7 +68,6 @@ class SimConfig:
     dt: float
     N: int
     seed: int
-    r: float = 0.0
 
     def __post_init__(self):
         if not (self.dt > 0 and np.isfinite(self.dt)):
@@ -78,11 +76,7 @@ class SimConfig:
             raise ValueError(f"T must be positive, got {self.T!r}")
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N!r}")
-        if self.r < 0:
-            raise ValueError(f"delay r must be >= 0, got {self.r!r}")
         _ratio_as_int(self.T, self.dt, "horizon")
-        if self.r > 0:
-            _ratio_as_int(self.r, self.dt, "delay")
 
     @property
     def steps(self) -> int:
@@ -102,6 +96,10 @@ class ConstantLaw:
     value: float = 1.0
     name: str = "constant"
 
+    def __post_init__(self):
+        if not np.isfinite(self.value):
+            raise ValueError(f"value must be finite, got {self.value!r}")
+
     def sample(self, seed: int, n: int) -> np.ndarray:
         return np.full(n, float(self.value))
 
@@ -112,16 +110,18 @@ class ConstantLaw:
 
 @dataclass(frozen=True)
 class GaussianLaw:
-    loc: float = 1.0
-    scale: float = 0.5
+    mean: float = 1.0
+    std: float = 0.5
     name: str = "gaussian"
 
-    def sample(self, seed: int, n: int) -> np.ndarray:
-        return self.loc + self.scale * rng.normals(seed, rng.STREAM_INIT, 0, n)
+    def __post_init__(self):
+        if not np.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean!r}")
+        if not (np.isfinite(self.std) and self.std >= 0):
+            raise ValueError(f"std must be finite and >= 0, got {self.std!r}")
 
-    @property
-    def mean(self) -> float:
-        return float(self.loc)
+    def sample(self, seed: int, n: int) -> np.ndarray:
+        return self.mean + self.std * rng.normals(seed, rng.STREAM_INIT, 0, n)
 
 
 @dataclass(frozen=True)
@@ -168,22 +168,25 @@ INITIAL_LAWS = {"constant": ConstantLaw, "gaussian": GaussianLaw, "pareto": Boun
 
 
 class ParticleEnsemble:
-    """Per-particle ring buffers over the delay window plus stream identities.
+    """Per-particle ring buffers over the delay window [-r, 0].
 
     init_values holds one system's current values (n,) or full windows
-    (n, width). With stacked=True it holds a stack of K systems, (K, N) or
-    (K, N, width); the rows share the stream ids of their N particles.
+    (n, width), width = r/dt + 1. With stacked=True it holds a stack of K
+    systems, (K, N) or (K, N, width). Particle i draws element i of each
+    step's noise.
     """
 
-    def __init__(self, r: float, dt: float, init_values: np.ndarray, stream_ids=None,
-                 stacked: bool = False):
+    def __init__(self, r: float, dt: float, init_values: np.ndarray, stacked: bool = False):
         init_values = np.asarray(init_values, dtype=float)
         lead = 2 if stacked else 1
+        width = (_ratio_as_int(r, dt, "delay") if r > 0 else 0) + 1
         if init_values.ndim == lead:
-            width = (_ratio_as_int(r, dt, "delay") if r > 0 else 0) + 1
             init_values = np.repeat(init_values[..., None], width, axis=-1)
         if init_values.ndim != lead + 1:
             raise ValueError(f"initial values must have {lead} or {lead + 1} dimensions")
+        if init_values.shape[-1] != width:
+            raise ValueError(f"a window over [-{r}, 0] at dt={dt} holds {width} values, "
+                             f"got {init_values.shape[-1]}")
         if not np.isfinite(init_values).all():
             raise ValueError("initial ensemble values must be finite")
         self.r = float(r)
@@ -191,13 +194,6 @@ class ParticleEnsemble:
         self.buf = init_values.copy()
         self.head = 0
         self.step_index = 0
-        n = init_values.shape[-2]
-        if stream_ids is None:
-            self.stream_ids = np.arange(n)
-        else:
-            self.stream_ids = np.asarray(stream_ids, int)
-            if len(self.stream_ids) != n or len(np.unique(self.stream_ids)) != n:
-                raise ValueError("stream ids must be a permutation-compatible unique labelling")
 
     @property
     def n(self) -> int:
@@ -218,19 +214,19 @@ class ParticleEnsemble:
         self.step_index += 1
 
     @classmethod
-    def from_law(cls, config: SimConfig, initial_law, seed=None,
-                 stream_ids=None) -> "ParticleEnsemble":
-        """config.N values drawn from the law with `seed` (config.seed by default);
-        a list of seeds gives a stack with one row per seed, each drawn on its own."""
+    def from_law(cls, config: SimConfig, model: ModelSpec, initial_law,
+                 seed=None) -> "ParticleEnsemble":
+        """config.N values drawn from the law with `seed` (config.seed by default),
+        on the window of the model's delay measure; a list of seeds gives a stack
+        with one row per seed, each drawn on its own."""
         if initial_law is None:
             raise EngineError("no initial law to draw the ensemble from")
         seed = config.seed if seed is None else seed
-        ids = None if stream_ids is None else np.asarray(stream_ids, int)
-        size, pick = (config.N, slice(None)) if ids is None else (int(ids.max()) + 1, ids)
+        r = model.delay_measure.span
         if np.ndim(seed) == 0:
-            return cls(config.r, config.dt, initial_law.sample(seed, size)[pick], stream_ids=ids)
-        rows = np.array([initial_law.sample(s, size)[pick] for s in seed])
-        return cls(config.r, config.dt, rows, stream_ids=ids, stacked=True)
+            return cls(r, config.dt, initial_law.sample(seed, config.N))
+        rows = np.array([initial_law.sample(s, config.N) for s in seed])
+        return cls(r, config.dt, rows, stacked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -358,19 +354,14 @@ def _check_advanced(x, drift, sig, new, k: int, t: float) -> None:
     raise BlowUpError(bad, k, t)
 
 
-def _increments(seeds, k: int, ids, n_streams: int, out: np.ndarray) -> np.ndarray:
+def _increments(seeds, k: int, out: np.ndarray) -> np.ndarray:
     """Fill out with the Brownian increments of step k and return it: one row
     per seed, or one system for a single seed. Each distinct seed is drawn
     straight into its first row and later rows with that seed copy it, so no
     two rows share memory: `_run` overwrites out as scratch."""
-    def draw(seed, row):
-        if ids is None:
-            rng.normals(seed, rng.STREAM_DRIVE, k, n_streams, out=row)
-        else:
-            row[...] = rng.normals(seed, rng.STREAM_DRIVE, k, n_streams)[ids]
-
+    n = out.shape[-1]
     if np.ndim(seeds) == 0:
-        draw(seeds, out)
+        rng.normals(seeds, rng.STREAM_DRIVE, k, n, out=out)
         return out
     first = {}
     for i, s in enumerate(seeds):
@@ -378,7 +369,7 @@ def _increments(seeds, k: int, ids, n_streams: int, out: np.ndarray) -> np.ndarr
             out[i] = out[first[s]]
         else:
             first[s] = i
-            draw(s, out[i])
+            rng.normals(s, rng.STREAM_DRIVE, k, n, out=out[i])
     return out
 
 
@@ -429,8 +420,9 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
     its step comes is taken back and made on the stepping thread.
     """
     span = model.delay_measure.span   # atoms are read where declared, so all must fit
-    if span > config.r + 1e-12:
-        raise EngineError(f"model delay measure reaches lag -{span} but config.r = {config.r}")
+    if span > ensemble.r + 1e-12:
+        raise EngineError(f"model delay measure reaches lag -{span}, beyond the "
+                          f"ensemble's window [-{ensemble.r}, 0]")
     for _, flow in groups:
         if flow is not None:
             _check_fit(flow, config)
@@ -489,14 +481,10 @@ def _step(model, ensemble, groups, observe, k, dt, z, new, xs):
 def _steps(config, model, ensemble, seeds, groups, observe):
     """`_run`'s stepper: one grid time per `next`."""
     dt = config.dt
-    ids = ensemble.stream_ids
-    n_streams = int(ids.max()) + 1
-    if n_streams == len(ids) and np.array_equal(ids, np.arange(n_streams)):
-        ids = None
     k0 = ensemble.step_index
     end = k0 + config.steps
     new = np.empty_like(ensemble.current)   # advance copies it into the ring buffer
-    ahead = (1 if np.ndim(seeds) == 0 else len(set(seeds))) * n_streams >= _AHEAD_MIN
+    ahead = (1 if np.ndim(seeds) == 0 else len(set(seeds))) * new.shape[-1] >= _AHEAD_MIN
     # step k's increments land in zs[k % len(zs)]: one buffer, or two when the
     # helper fills the next step's while this step uses its own as scratch.
     # They are allocated on this thread: arrays the helper allocated would
@@ -513,9 +501,9 @@ def _steps(config, model, ensemble, seeds, groups, observe):
             if drawn is not None and not drawn.cancel():
                 z = drawn.result()
             else:
-                z = _increments(seeds, k, ids, n_streams, zs[k % len(zs)])
+                z = _increments(seeds, k, zs[k % len(zs)])
             if helper and k + 1 < end:
-                drawn = helper.submit(_increments, seeds, k + 1, ids, n_streams, zs[(k + 1) % 2])
+                drawn = helper.submit(_increments, seeds, k + 1, zs[(k + 1) % 2])
             _step(model, ensemble, groups, observe, k, dt, z, new, xs)
             ensemble.advance(new)
             yield k
@@ -527,25 +515,25 @@ def step_interacting(ensemble: ParticleEnsemble, model: ModelSpec, t: float,
     """One synchronous update of the interacting system.
 
     The empirical measure is built from the full current state before any
-    particle moves; the increment of particle i is indexed by its stream id
-    and the ensemble's step counter, so stepping by hand or through
+    particle moves; the increment of particle i is indexed by i and the
+    ensemble's step counter, so stepping by hand or through
     simulate_interacting produces the same numbers.
     """
     if abs(t - ensemble.step_index * dt) > 1e-9 * max(1.0, abs(t)):
         raise EngineError(
             f"time {t!r} does not match the ensemble's step counter "
             f"({ensemble.step_index} steps of dt={dt})")
-    cfg = SimConfig(T=dt, dt=dt, N=ensemble.n, seed=seed, r=ensemble.r)
+    cfg = SimConfig(T=dt, dt=dt, N=ensemble.n, seed=seed)
     _run(cfg, model, ensemble, seed, observe=lambda k, x, xs: None)   # nothing to keep
     return ensemble
 
 
 def simulate_interacting(config: SimConfig, model: ModelSpec, initial_law,
-                         stream_ids=None, observe=None) -> PathRecord | None:
+                         observe=None) -> PathRecord | None:
     """The N-interacting system: each particle sees the ensemble's own
     empirical law, rebuilt once per step from the full state. observe is
     `_run`'s; with no observer the record comes back."""
-    ens = ParticleEnsemble.from_law(config, initial_law, stream_ids=stream_ids)
+    ens = ParticleEnsemble.from_law(config, model, initial_law)
     return _run(config, model, ens, config.seed, observe=observe)
 
 
@@ -555,7 +543,7 @@ def simulate_frozen(config: SimConfig, model: ModelSpec, flow, n_paths: int,
     ensemble's own law. observe and lazy are those of `_run`: with no
     observer the record comes back, and with lazy True the run's stepper."""
     cfg = replace(config, N=n_paths, seed=seed)
-    ens = ParticleEnsemble.from_law(cfg, flow.initial_law)
+    ens = ParticleEnsemble.from_law(cfg, model, flow.initial_law)
     return _run(cfg, model, ens, seed, groups=((Ellipsis, flow),), observe=observe, lazy=lazy)
 
 
@@ -571,7 +559,7 @@ def coupled_stack(config: SimConfig, model: ModelSpec, reference_flow, seeds,
     """
     K = len(seeds)
     rows = list(seeds) * 2
-    ens = ParticleEnsemble.from_law(config, reference_flow.initial_law, seed=rows)
+    ens = ParticleEnsemble.from_law(config, model, reference_flow.initial_law, seed=rows)
     groups = ((slice(0, K), None), (slice(K, 2 * K), reference_flow))
     return _run(config, model, ens, rows, groups, observe=observe, lazy=lazy)
 

@@ -230,7 +230,7 @@ class FixedPointResult:
 
 def solve_fixed_point(config: SimConfig, model: ModelSpec, initial_law, M: int,
                       lam: float | None = None, tol: float = 1e-3,
-                      max_iter: int = 25, common_noise: bool = False) -> FixedPointResult:
+                      max_iter: int = 25) -> FixedPointResult:
     """Iterate the frozen-flow map from the initial-law constant flow.
 
     Stops when the weighted distance between successive iterates falls
@@ -239,18 +239,14 @@ def solve_fixed_point(config: SimConfig, model: ModelSpec, initial_law, M: int,
     The floor is measured directly: the map is applied twice to the same
     flow with independent sub-seeds and the distance of the two outputs is
     the floor. Non-convergence is reported in the result, never silent.
-
-    common_noise=True reuses one sub-seed for every iteration; successive
-    iterates are then positively correlated, which looks faster but makes
-    the measured floor meaningless as a stopping guard, so the default is
-    fresh noise per iteration.
+    Every iteration draws fresh noise.
     """
     lam = default_lambda(model) if lam is None else float(lam)
     init_samples = initial_law.sample(rng.derive_seed(config.seed, _PICARD, 0), M)
     flow = MeasureFlow.constant_flow(config.times, init_samples, initial_law=initial_law)
 
     def sub_seed(it: int) -> int:
-        return rng.derive_seed(config.seed, _PICARD, 1 if common_noise else it + 1)
+        return rng.derive_seed(config.seed, _PICARD, it + 1)
 
     probe_a = apply_phi(config, model, flow, M, sub_seed(0))
     probe_b = apply_phi(config, model, flow, M, rng.derive_seed(config.seed, _PICARD_PROBE, 0))

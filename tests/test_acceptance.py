@@ -125,7 +125,7 @@ def test_criterion_4_deterministic_oracles():
     assert lin_err <= 2.0 * dt
 
     dmdl = make_delay_model(beta=1.0, r=1.0, sigma0=0.0)
-    dcfg = SimConfig(T=1.0, dt=dt, N=8, seed=MASTER_SEED, r=1.0)
+    dcfg = SimConfig(T=1.0, dt=dt, N=8, seed=MASTER_SEED)
     drec = simulate_interacting(dcfg, dmdl, ConstantLaw(1.0))
     delay_err = float(np.max(np.abs(drec.means - (1.0 + drec.times))))
     assert delay_err <= 2.0 * dt

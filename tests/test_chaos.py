@@ -97,13 +97,10 @@ class TestChaosRate:
 
     def test_errors_non_increasing_across_zoo(self):
         # one inversion at adjacent N tolerated (Monte Carlo noise)
-        cases = [
-            (make_linear_model(), 0.0),
-            (make_sqrt_model(), 0.0),
-            (make_delay_model(beta=0.5, r=0.2, sigma0=0.2), 0.2),
-        ]
-        for mdl, r in cases:
-            cfg = SimConfig(T=1.0, dt=0.02, N=64, seed=555, r=r)
+        cases = [make_linear_model(), make_sqrt_model(),
+                 make_delay_model(beta=0.5, r=0.2, sigma0=0.2)]
+        for mdl in cases:
+            cfg = SimConfig(T=1.0, dt=0.02, N=64, seed=555)
             ref = build_reference_flow(cfg, mdl, GAUSS, M=8192)
             rep = estimate_chaos_rate(cfg, mdl, N_SMALL, 8, ref)
             inversions = sum(b > a for a, b in zip(rep.error_mean, rep.error_mean[1:]))
@@ -238,7 +235,7 @@ class TestSkippedScoring:
     def test_runs_are_bit_equal_to_scoring_every_row(self, name, N_list):
         if name == "delay":
             mdl = make_delay_model(beta=0.5, r=0.06, a=-0.3, sigma0=0.3, m="uniform", atoms=4)
-            cfg = SimConfig(T=0.4, dt=0.02, N=16, seed=31, r=0.06)
+            cfg = SimConfig(T=0.4, dt=0.02, N=16, seed=31)
         else:
             mdl = make_linear_model() if name == "linear" else make_sqrt_model()
             cfg = SimConfig(T=0.4, dt=0.02, N=16, seed=31)
@@ -273,7 +270,7 @@ class TestStackedReplicas:
             mdl, cfg = make_linear_model(), SimConfig(T=0.4, dt=0.02, N=16, seed=31)
         else:
             mdl = make_delay_model(beta=0.5, r=0.06, a=-0.3, sigma0=0.3, m="uniform", atoms=4)
-            cfg = SimConfig(T=0.4, dt=0.02, N=16, seed=31, r=0.06)
+            cfg = SimConfig(T=0.4, dt=0.02, N=16, seed=31)
         ref = build_reference_flow(cfg, mdl, GAUSS, M=256)
         for N in (16, 24):   # nesting with M and not
             runs = engine._drain(_one_coupled_run(cfg, mdl, ref, N, 3))
@@ -494,7 +491,9 @@ class TestFlowFit:
         lambda cfg, mdl, flow: simulate_coupled(cfg, mdl, flow),
         lambda cfg, mdl, flow: marginal_tv_study(cfg, mdl, flow, [4, 8], 1, [0.1]),
         lambda cfg, mdl, flow: simulate_interacting(cfg, mdl, flow.initial_law),
-    ], ids=["simulate_frozen", "simulate_coupled", "marginal_tv_study", "simulate_interacting"])
+        lambda cfg, mdl, flow: build_reference_flow(cfg, mdl, flow.initial_law, M=8),
+    ], ids=["simulate_frozen", "simulate_coupled", "marginal_tv_study", "simulate_interacting",
+            "build_reference_flow"])
     def test_flow_without_initial_law(self, entry):
         flow = MeasureFlow.constant_flow(self.CFG.times, [0.0, 1.0])
         assert flow.initial_law is None

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfchaos import cli, engine
+from mfchaos import cli, engine, model
 from mfchaos.cli import ConfigError, main, parse_config
 
 
@@ -39,8 +39,6 @@ BAD_INPUT = {
     "simulate-negative-workers": ("simulate", "--set", "sim.workers=-1"),
     "chaos-rate-zero-workers": ("chaos-rate", "--set", "sim.workers=0"),
     "chaos-rate-negative-workers": ("chaos-rate", "--set", "sim.workers=-1"),
-    "common-noise-two": ("solve", "--set", "solve.common_noise=2"),
-    "common-noise-negative": ("solve", "--set", "solve.common_noise=-1"),
     # T/dt overflows a float, so the step count is not finite
     "overflowing-horizon": ("simulate", "--set", "sim.T=1e300", "--set", "sim.dt=1e-300"),
     # values a subcommand would run on without doing its work, then report a success
@@ -55,11 +53,17 @@ BAD_INPUT = {
                        "--set", "model.atoms=0"),
     "delay-negative-window": ("simulate", "--set", "model.name=delay", "--set", "model.r=-1"),
     "delay-infinite-window": ("simulate", "--set", "model.name=delay", "--set", "model.r=inf"),
+    # the run's delay window is the model's, so it must sit on the time grid
+    "delay-window-off-grid": ("simulate", "--set", "model.name=delay", "--set", "model.r=0.254"),
     # an initial law's own complaint about one of its parameters
     "pareto-hi-below-lo": ("simulate", "--set", "init.name=pareto", "--set", "init.lo=5",
                            "--set", "init.hi=1"),
     "pareto-zero-tail": ("simulate", "--set", "init.name=pareto", "--set", "init.tail=0"),
     "pareto-unbounded": ("simulate", "--set", "init.name=pareto", "--set", "init.hi=inf"),
+    "gaussian-negative-std": ("simulate", "--set", "init.std=-1"),
+    "gaussian-nan-std": ("simulate", "--set", "init.std=nan"),
+    "constant-infinite-value": ("simulate", "--set", "init.name=constant",
+                                "--set", "init.value=inf"),
 }
 
 # cases of BAD_INPUT whose one config error line names the key at fault
@@ -73,9 +77,13 @@ NAMED_KEY = {
     "delay-no-atoms": "model.atoms",
     "delay-negative-window": "model.r",
     "delay-infinite-window": "model.r",
+    "delay-window-off-grid": "model.r",
     "pareto-hi-below-lo": "init.hi",
     "pareto-zero-tail": "init.tail",
     "pareto-unbounded": "init.hi",
+    "gaussian-negative-std": "init.std",
+    "gaussian-nan-std": "init.std",
+    "constant-infinite-value": "init.value",
 }
 
 # `simulate` runs whose wide record.csv is summarized as they step; N is
@@ -119,8 +127,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="sim.dt"):
             rc.sim_config()
 
-    @pytest.mark.parametrize("key,value", [("sim.N", "0"), ("sim.dt", "0"), ("sim.T", "0"),
-                                           ("sim.r", "-1")])
+    @pytest.mark.parametrize("key,value", [("sim.N", "0"), ("sim.dt", "0"), ("sim.T", "0")])
     def test_bad_grid_value_names_its_key(self, key, value):
         rc = parse_config(None, {key: value})
         with pytest.raises(ConfigError, match=f"^key '{key}': "):
@@ -363,18 +370,24 @@ class TestArtifacts:
         assert (a / "record.csv").read_bytes() == (b / "record.csv").read_bytes()
 
     def test_delay_model_adopts_window_from_model(self, tmp_path):
-        code = run_cli("simulate", "--out", str(tmp_path),
-                       "--set", "model.name=delay", "--set", "model.r=0.2",
-                       "--set", "model.sigma0=0.1", "--set", "sim.N=8",
-                       "--set", "sim.T=0.5")
-        assert code == 0
-        assert "sim.r = 0.2" in (tmp_path / "run_manifest.txt").read_text()
+        sets = {"model.name": "delay", "model.r": "0.2", "model.m": "uniform",
+                "model.atoms": "5", "model.sigma0": "0.1", "sim.N": "8", "sim.T": "0.5",
+                "record.form": "long"}
+        argv = [a for k, v in sets.items() for a in ("--set", f"{k}={v}")]
+        assert run_cli("simulate", "--seed", "3", *argv, "--out", str(tmp_path / "cli")) == 0
+        cfg = engine.SimConfig(T=0.5, dt=0.01, N=8, seed=3)
+        mdl = model.make_delay_model(r=0.2, m="uniform", atoms=5, sigma0=0.1)
+        engine.simulate_interacting(cfg, mdl, engine.GaussianLaw()).write_csv(tmp_path / "lib.csv")
+        assert (tmp_path / "cli" / "record.csv").read_bytes() == \
+            (tmp_path / "lib.csv").read_bytes()
 
-    def test_short_window_named_in_error(self, tmp_path):
-        code = run_cli("simulate", "--out", str(tmp_path),
-                       "--set", "model.name=delay", "--set", "model.r=0.4",
-                       "--set", "sim.r=0.2", "--set", "sim.N=8")
-        assert code == 2
+    @pytest.mark.parametrize("line", ["sim.r = 0.2", "solve.common_noise = 0"],
+                             ids=["sim.r", "solve.common_noise"])
+    def test_manifest_with_a_removed_key_exits_two(self, tmp_path, capsys, line):
+        old = tmp_path / "old_manifest.txt"
+        old.write_text(f"subcommand = simulate\n{line}\n")
+        assert run_cli("simulate", "--config", str(old), "--out", str(tmp_path / "o")) == 2
+        assert "unknown key" in capsys.readouterr().err
 
     def test_solve_writes_flow_and_diagnostics(self, tmp_path):
         code = run_cli("solve", "--out", str(tmp_path),

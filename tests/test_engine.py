@@ -34,8 +34,8 @@ class TestSimConfig:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             SimConfig(T=1.0, dt=0.3, N=1, seed=0)
-        with pytest.raises(ValueError):
-            SimConfig(T=1.0, dt=0.01, N=1, seed=0, r=0.25e-1 * 1.5)
+        with pytest.raises(ValueError, match="delay"):   # the window is the ensemble's
+            ParticleEnsemble(r=0.25e-1 * 1.5, dt=0.01, init_values=np.zeros(1))
         cfg = SimConfig(T=1.0, dt=1e-3, N=1, seed=0)   # 999.999... steps rounds fine
         assert cfg.steps == 1000
 
@@ -86,7 +86,7 @@ class TestStepInteracting:
         cfg = SimConfig(T=0.3, dt=0.1, N=16, seed=44)
         mdl = make_sqrt_model()
         rec = simulate_interacting(cfg, mdl, GAUSS)
-        ens = ParticleEnsemble.from_law(cfg, GAUSS)
+        ens = ParticleEnsemble.from_law(cfg, mdl, GAUSS)
         for k in range(cfg.steps):
             step_interacting(ens, mdl, k * cfg.dt, cfg.dt, seed=cfg.seed)
         assert np.array_equal(ens.current, rec.values[-1])
@@ -115,16 +115,18 @@ class TestInteracting:
     def test_delay_mean_matches_method_of_steps(self):
         # x' = x(t - 1) with flat unit history: x(t) = 1 + t on [0, 1]
         mdl = make_delay_model(beta=1.0, r=1.0, sigma0=0.0)
-        cfg = SimConfig(T=1.0, dt=1e-2, N=4, seed=0, r=1.0)
+        cfg = SimConfig(T=1.0, dt=1e-2, N=4, seed=0)
         rec = simulate_interacting(cfg, mdl, ConstantLaw(1.0))
         assert np.allclose(rec.means, 1.0 + rec.times, atol=2 * cfg.dt)
 
     def test_atom_beyond_window_rejected(self):
-        # an atom at -0.254 lies outside the r = 0.25 window, though within dt/2 of it
+        # an atom at -0.254 lies outside a hand-built r = 0.25 window, though within dt/2 of it
+        from mfchaos.engine import step_interacting
         mdl = make_delay_model(beta=1.0, r=0.254, sigma0=0.0)
-        cfg = SimConfig(T=0.1, dt=0.01, N=4, seed=0, r=0.25)
-        with pytest.raises(EngineError, match="config.r"):
-            simulate_interacting(cfg, mdl, ConstantLaw(1.0))
+        ens = ParticleEnsemble(r=0.25, dt=0.01, init_values=np.ones(4))
+        with pytest.raises(EngineError, match=r"lag -0.254, beyond the ensemble's window \[-0.25, 0\]"):
+            step_interacting(ens, mdl, 0.0, 0.01, seed=0)
+        assert ens.step_index == 0
 
     def test_rerun_bit_identical(self):
         cfg = SimConfig(T=0.5, dt=0.01, N=64, seed=9)
@@ -132,15 +134,6 @@ class TestInteracting:
         a = simulate_interacting(cfg, mdl, GAUSS)
         b = simulate_interacting(cfg, mdl, GAUSS)
         assert np.array_equal(a.values, b.values)
-
-    def test_exchangeability(self):
-        cfg = SimConfig(T=0.3, dt=0.01, N=32, seed=5)
-        mdl = make_linear_model()
-        ident = simulate_interacting(cfg, mdl, GAUSS)
-        rng = np.random.default_rng(0)
-        perm = rng.permutation(32)
-        permuted = simulate_interacting(cfg, mdl, GAUSS, stream_ids=perm)
-        assert np.array_equal(permuted.values, ident.values[:, perm])
 
     def test_blowup_detected_with_location(self):
         mdl = make_linear_model()
@@ -220,8 +213,9 @@ class TestInteracting:
     ])
     def test_moment_bound_regression(self, name, mdl, law, r, pinned_C):
         # sup_t mean|X(t)| <= C (1 + mean |X(0)|); C pinned from pilot runs
-        # with 2x headroom, regressions fail the pin
-        cfg = SimConfig(T=1.0, dt=0.01, N=512, seed=11, r=r)
+        # with 2x headroom, regressions fail the pin; r is the run's window
+        assert mdl.delay_measure.span == r
+        cfg = SimConfig(T=1.0, dt=0.01, N=512, seed=11)
         rec = simulate_interacting(cfg, mdl, law)
         ratio = np.abs(rec.values).mean(axis=1).max() / (1.0 + np.abs(rec.values[0]).mean())
         assert ratio <= pinned_C
@@ -243,7 +237,8 @@ class TestLazyRun:
             seen.append(k)
             states.append(x.copy())
 
-        stepper = engine._run(cfg, make_sqrt_model(), ParticleEnsemble.from_law(cfg, GAUSS),
+        mdl = make_sqrt_model()
+        stepper = engine._run(cfg, mdl, ParticleEnsemble.from_law(cfg, mdl, GAUSS),
                               cfg.seed, observe=observe, lazy=True)
         assert seen == []
         for k in range(cfg.steps):
@@ -251,7 +246,7 @@ class TestLazyRun:
         with pytest.raises(StopIteration):
             next(stepper)
         assert seen == list(range(cfg.steps + 1))
-        want = engine._run(cfg, make_sqrt_model(), ParticleEnsemble.from_law(cfg, GAUSS), cfg.seed)
+        want = engine._run(cfg, mdl, ParticleEnsemble.from_law(cfg, mdl, GAUSS), cfg.seed)
         assert np.array(states).tobytes() == want.values.tobytes()
 
 
@@ -336,13 +331,14 @@ class TestDrawAhead:
         in_step = blow_up()
         assert (ahead.particle, ahead.step, ahead.t) == (in_step.particle, in_step.step, in_step.t)
 
-    def stack(self, cfg, law):
-        return ParticleEnsemble.from_law(cfg, law, seed=self.ROWS)
+    def stack(self, cfg, mdl, law):
+        return ParticleEnsemble.from_law(cfg, mdl, law, seed=self.ROWS)
 
     def test_stack_draws_ahead_per_step_and_none_beyond(self, monkeypatch):
         draws = self.spy(monkeypatch)
         cfg = SimConfig(T=0.05, dt=0.01, N=self.ROW, seed=3)
-        engine._run(cfg, make_sqrt_model(), self.stack(cfg, GAUSS), self.ROWS)
+        mdl = make_sqrt_model()
+        engine._run(cfg, mdl, self.stack(cfg, mdl, GAUSS), self.ROWS)
         drive = [(k, who) for stream, k, who in draws if stream == rng.STREAM_DRIVE]
         # one draw per distinct seed and step, and none beyond the last step
         assert sorted(k for k, _ in drive) == sorted(list(range(cfg.steps)) * len(self.SEEDS))
@@ -374,7 +370,7 @@ class TestDrawAhead:
 
         def blow_up() -> BlowUpError:
             with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowUpError) as exc:
-                engine._run(cfg, cubic, self.stack(cfg, ConstantLaw(1.0)), self.ROWS)
+                engine._run(cfg, cubic, self.stack(cfg, cubic, ConstantLaw(1.0)), self.ROWS)
             return exc.value
 
         threads = threading.active_count()
@@ -573,13 +569,21 @@ class TestRecord:
 
 
 class TestEnsemble:
-    def test_duplicate_caller_ids_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            ParticleEnsemble(r=0.0, dt=0.1, init_values=np.zeros(3), stream_ids=[0, 2, 2])
-        cfg = SimConfig(T=0.2, dt=0.1, N=3, seed=0)
-        with pytest.raises(ValueError, match="unique"):
-            ParticleEnsemble.from_law(cfg, GAUSS, stream_ids=[1, 1, 0])
-        assert np.array_equal(ParticleEnsemble.from_law(cfg, GAUSS).stream_ids, np.arange(3))
+    def test_full_window_of_the_wrong_width_rejected(self):
+        # r/dt + 1 = 6 values span [-0.5, 0]; two would be read as six
+        with pytest.raises(ValueError, match="holds 6 values, got 2"):
+            ParticleEnsemble(r=0.5, dt=0.1, init_values=np.arange(6.).reshape(3, 2))
+        with pytest.raises(ValueError, match="holds 1 values, got 3"):
+            ParticleEnsemble(r=0.0, dt=0.1, init_values=np.zeros((2, 4, 3)), stacked=True)
+        ens = ParticleEnsemble(r=0.5, dt=0.1, init_values=np.arange(18.).reshape(3, 6))
+        assert ens.batch().value_at(-0.25).tolist() == [2.5, 8.5, 14.5]
+
+    def test_window_is_the_models_delay_span(self):
+        cfg = SimConfig(T=0.2, dt=0.02, N=3, seed=0)
+        mdl = make_delay_model(r=0.06, m="uniform", atoms=4)
+        ens = ParticleEnsemble.from_law(cfg, mdl, GAUSS)
+        assert (ens.r, ens.buf.shape) == (0.06, (3, 4))
+        assert ParticleEnsemble.from_law(cfg, make_linear_model(), GAUSS).buf.shape == (3, 1)
 
     def test_ring_buffer_matches_segments(self):
         ens = ParticleEnsemble(r=0.4, dt=0.2, init_values=np.array([1.0, 2.0]))

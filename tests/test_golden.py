@@ -38,9 +38,9 @@ REF_M = 512
 NESTED_N = [16, 128, 512, 1024]    # below, at and above REF_M, nesting with it
 NON_NESTED_N = [24, 40, 96]        # none divides REF_M, none is a multiple of it
 # uniform delay atoms at lags -0.06, -0.04, -0.02, 0 sit on the step grid
-DELAY_CFG = SimConfig(T=0.2, dt=0.02, N=32, seed=SEED, r=0.06)
+DELAY_CFG = SimConfig(T=0.2, dt=0.02, N=32, seed=SEED)
 # 64 uniform atoms on [-1, 0] at dt = 0.01: all but the end atoms fall between grid columns
-OFF_GRID_CFG = SimConfig(T=0.3, dt=0.01, N=32, seed=5, r=1.0)
+OFF_GRID_CFG = SimConfig(T=0.3, dt=0.01, N=32, seed=5)
 
 GOLDEN = {
     "normals":
@@ -212,7 +212,7 @@ def test_off_grid_delay_atoms():
 
 def test_step_interacting_by_hand():
     mdl = delay_model()
-    ens = ParticleEnsemble.from_law(DELAY_CFG, GaussianLaw(1.0, 0.5))
+    ens = ParticleEnsemble.from_law(DELAY_CFG, mdl, GaussianLaw(1.0, 0.5))
     states = []
     for k in range(3):
         step_interacting(ens, mdl, k * DELAY_CFG.dt, DELAY_CFG.dt, seed=SEED)
