@@ -17,7 +17,9 @@ seed, rows with equal seeds share their increments, and each group of
 rows sees either its rows' own empirical laws or a shared measure flow.
 Every row goes through the same per-row operations as a system stepped
 alone (sorted-row mean, `x + drift*dt + sig*sqdt*z`), so stacking never
-changes a bit.
+changes a bit. A step allocates no particle-sized array: the coefficients
+are written into memory the run already holds (see `_step`), through the
+optional `out=` of a coefficient that takes one.
 
 `_run` steps on the caller's thread. Where one step draws at least
 `_AHEAD_MIN` values, counted over the distinct seeds of a stack, it draws
@@ -30,6 +32,7 @@ thread it runs on changes no bit.
 
 from __future__ import annotations
 
+import inspect
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -177,6 +180,8 @@ class ParticleEnsemble:
     """
 
     def __init__(self, r: float, dt: float, init_values: np.ndarray, stacked: bool = False):
+        if not (np.isfinite(r) and r >= 0):
+            raise ValueError(f"r must be finite and >= 0, got {r!r}")
         init_values = np.asarray(init_values, dtype=float)
         lead = 2 if stacked else 1
         width = (_ratio_as_int(r, dt, "delay") if r > 0 else 0) + 1
@@ -327,13 +332,30 @@ def _chunked(n: int, workers: int):
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
 
 
+def _takes_out(coefficient) -> bool:
+    """Whether a coefficient takes `out=`, read from its signature once per run."""
+    try:
+        return "out" in inspect.signature(coefficient).parameters
+    except (TypeError, ValueError):   # no signature to read: call it as (t, x[, mu])
+        return False
+
+
 def _eval_coeffs(model: ModelSpec, t: float, x: np.ndarray, batch: SegmentBatch,
-                 mu: EmpiricalMeasure) -> tuple[np.ndarray, np.ndarray]:
-    drift = (np.asarray(model.drift(t, x, mu), dtype=float)
-             + np.asarray(model.path_drift(t, batch, mu), dtype=float))
-    sig = np.asarray(model.sigma(t, x), dtype=float)
-    # full shape, because _check_advanced indexes them at a particle
-    return np.broadcast_to(drift, x.shape), np.broadcast_to(sig, x.shape)
+                 mu: EmpiricalMeasure, drift: np.ndarray, sig: np.ndarray, outs) -> None:
+    """Write the drift plus the path drift into drift, then sigma into sig, both
+    shaped like x; sig may be the memory mu was built from, since sigma comes
+    last. outs says whether the drift and sigma take `out=`; a coefficient
+    that does not has its value copied in, a scalar broadcast."""
+    drift_out, sig_out = outs
+    if drift_out:
+        model.drift(t, x, mu, out=drift)
+    else:
+        np.copyto(drift, model.drift(t, x, mu))
+    drift += model.path_drift(t, batch, mu)
+    if sig_out:
+        model.sigma(t, x, out=sig)
+    else:
+        np.copyto(sig, model.sigma(t, x))
 
 
 # states beyond this are treated as having already blown up, even if the
@@ -342,8 +364,9 @@ _BLOWUP_SCALE = 1e100
 
 
 def _check_advanced(x, drift, sig, new, k: int, t: float) -> None:
-    if np.isfinite(new).all():
-        return
+    """Raise for the first non-finite value of new, the update of state x with
+    coefficients drift and sig: ModelError where a coefficient is non-finite at
+    a sane state, BlowUpError otherwise."""
     at = tuple(np.argwhere(~np.isfinite(new))[0])   # (particle,) or (row, particle)
     bad = int(at[-1])
     coeff_bad = not (np.isfinite(drift[at]) and np.isfinite(sig[at]))
@@ -446,36 +469,52 @@ def _drain(stepper):
             return end.value
 
 
-def _observe(observe, k, x, xs):
+def _sort_into(xs, x):
     xs[...] = x
     xs.sort(axis=-1)   # in place, as np.sort sorts its copy
+
+
+def _observe(observe, k, x, xs):
+    _sort_into(xs, x)
     observe(k, x, xs)
 
 
-def _step(model, ensemble, groups, observe, k, dt, z, new, xs):
+def _measure(flow, k, xs):
+    """The measure a group sees at grid time k: its flow's, or with flow None
+    its rows' own empirical laws, built from xs, those rows of the sorted state."""
+    if flow is not None:
+        return flow.measure_at(k)
+    return EmpiricalMeasure(xs, presorted=True, stacked=xs.ndim == 2)
+
+
+def _step(model, outs, ensemble, groups, observe, k, dt, z, new, xs):
     """Observe grid time k, sorting into the run's buffer xs, and write step
-    k's update into new. Its temporaries go when it returns, so a lazy run
-    holds none while other runs take their steps."""
+    k's update into new. The coefficients are written into memory the run
+    already holds, so a step allocates no particle-sized array: each group's
+    drift into its rows of new, then, once the drift has read mu, its sigma
+    into its rows of xs, which no later group reads; z is this step's own
+    draw, so its rows serve as scratch too."""
     t = k * dt
     sqdt = np.sqrt(dt)
     x = ensemble.current
     _observe(observe, k, x, xs)
     for rows, flow in groups:
-        if flow is not None:
-            mu = flow.measure_at(k)
-        else:
-            mu = EmpiricalMeasure(xs[rows], presorted=True, stacked=x.ndim == 2)
-        drift, sig = _eval_coeffs(model, t, x[rows], ensemble.batch(rows), mu)
-        # new = x + drift*dt + sig*sqdt*z with the same roundings (+ and * commute);
-        # z is this step's own draw, so its rows serve as the scratch
-        upd, zr = new[rows], z[rows]
-        np.multiply(sig, sqdt, out=upd)
-        upd *= zr
-        np.multiply(drift, dt, out=zr)
-        zr += x[rows]
+        xr, upd, zr, sr = x[rows], new[rows], z[rows], xs[rows]
+        _eval_coeffs(model, t, xr, ensemble.batch(rows), _measure(flow, k, sr), upd, sr, outs)
+        # new = x + drift*dt + sig*sqdt*z with the same roundings (+ and * commute)
+        sr *= sqdt
+        zr *= sr
+        upd *= dt
+        upd += xr
         upd += zr
-        _check_advanced(x[rows], drift, sig, upd, k, t)
-        del drift, sig   # gone before the next group's: fewer large arrays alive at once
+        if not np.isfinite(upd).all():
+            # the coefficients are overwritten: evaluate them afresh from the
+            # unchanged state to tell a model fault from a blow-up
+            _sort_into(xs, x)
+            drift, sig = np.empty_like(upd), np.empty_like(upd)
+            _eval_coeffs(model, t, xr, ensemble.batch(rows), _measure(flow, k, xs[rows]),
+                         drift, sig, outs)
+            _check_advanced(xr, drift, sig, upd, k, t)
 
 
 def _steps(config, model, ensemble, seeds, groups, observe):
@@ -484,6 +523,7 @@ def _steps(config, model, ensemble, seeds, groups, observe):
     k0 = ensemble.step_index
     end = k0 + config.steps
     new = np.empty_like(ensemble.current)   # advance copies it into the ring buffer
+    outs = (_takes_out(model.drift), _takes_out(model.sigma))   # each probed on its own
     ahead = (1 if np.ndim(seeds) == 0 else len(set(seeds))) * new.shape[-1] >= _AHEAD_MIN
     # step k's increments land in zs[k % len(zs)]: one buffer, or two when the
     # helper fills the next step's while this step uses its own as scratch.
@@ -504,7 +544,7 @@ def _steps(config, model, ensemble, seeds, groups, observe):
                 z = _increments(seeds, k, zs[k % len(zs)])
             if helper and k + 1 < end:
                 drawn = helper.submit(_increments, seeds, k + 1, zs[(k + 1) % 2])
-            _step(model, ensemble, groups, observe, k, dt, z, new, xs)
+            _step(model, outs, ensemble, groups, observe, k, dt, z, new, xs)
             ensemble.advance(new)
             yield k
     _observe(observe, end, ensemble.current, xs)

@@ -18,6 +18,16 @@ is then either one shared measure (a frozen flow's) or a stacked
 EmpiricalMeasure whose `mean` is a (K, 1) column, one entry per row, so a
 term written `c * mu.mean` broadcasts row by row. Coefficients must act
 elementwise across rows.
+
+The drift and sigma may take an optional `out=`: drift(t, x, mu, out=None)
+and sigma(t, x, out=None) then write their values into out, a float64
+array shaped like x that overlaps neither x nor, for the drift, the
+measure's samples (sigma comes last, so its out may be them). The engine
+reads each signature once per run and hands such a coefficient memory the
+run already holds; one without `out` is called as (t, x[, mu]) and its
+value, a scalar included, is copied in. The zoo's coefficients write into
+out with the operations they use without it, in the same order, so both
+give the same bits.
 """
 
 from __future__ import annotations
@@ -42,9 +52,9 @@ class ModelSpec:
     (K, 1) column (see the module docstring)."""
 
     name: str
-    drift: Callable          # (t, x, mu) -> like x
+    drift: Callable          # (t, x, mu[, out]) -> like x; out= optional (module docstring)
     path_drift: Callable     # (t, SegmentBatch, mu) -> per-particle values
-    sigma: Callable          # (t, x) -> like x
+    sigma: Callable          # (t, x[, out]) -> like x; out= optional (module docstring)
     K_b: float               # one-sided drift constant, may be negative
     K_B: float
     K_sigma: float
@@ -88,17 +98,26 @@ def eval_sigma(model: ModelSpec, t: float, x):
 # model zoo
 
 
+def _constant(value: float, x, out=None):
+    """value at every particle of x, written into out if given."""
+    out = np.empty_like(x, dtype=float) if out is None else out
+    out.fill(value)
+    return out
+
+
 def make_linear_model(a: float = -1.0, c: float = 0.5, sigma0: float = 0.2,
                       p: float = 4.0, alpha: float = 1.0) -> ModelSpec:
     """b = a*x + c*mean(mu), no path drift, constant diffusion."""
-    def drift(t, x, mu):
-        return a * x + c * mu.mean
+    def drift(t, x, mu, out=None):
+        out = np.multiply(a, x, out=out)
+        out += c * mu.mean
+        return out
 
     def path_drift(t, seg, mu):
         return 0.0
 
-    def sigma(t, x):
-        return np.full_like(x, sigma0)
+    def sigma(t, x, out=None):
+        return _constant(sigma0, x, out)
 
     return ModelSpec(
         name="linear", drift=drift, path_drift=path_drift, sigma=sigma,
@@ -116,14 +135,17 @@ def make_sqrt_model(kappa: float = 1.0, theta: float = 1.0, c: float = 0.5,
     The diffusion is evaluated at |x| exactly as written, so the state is
     never clamped or reflected.
     """
-    def drift(t, x, mu):
-        return kappa * (theta - x) + c * mu.mean
+    def drift(t, x, mu, out=None):
+        out = np.subtract(theta, x, out=out)
+        np.multiply(kappa, out, out=out)
+        out += c * mu.mean
+        return out
 
     def path_drift(t, seg, mu):
         return 0.0
 
-    def sigma(t, x):
-        s = np.abs(x)   # sigma0 * sqrt(|x|) in the one array abs allocates
+    def sigma(t, x, out=None):
+        s = np.abs(x, out=out)   # sigma0 * sqrt(|x|) in one array
         np.sqrt(s, out=s)
         s *= sigma0
         return s
@@ -152,14 +174,14 @@ def make_delay_model(beta: float = 1.0, r: float = 1.0, a: float = 0.0,
     else:
         raise ValueError(f"m must be 'dirac' or 'uniform', got {m!r}")
 
-    def drift(t, x, mu):
-        return a * x
+    def drift(t, x, mu, out=None):
+        return np.multiply(a, x, out=out)
 
     def path_drift(t, seg, mu):
         return beta * seg.integral_against(dm)
 
-    def sigma(t, x):
-        return np.full_like(x, sigma0)
+    def sigma(t, x, out=None):
+        return _constant(sigma0, x, out)
 
     return ModelSpec(
         name="delay", drift=drift, path_drift=path_drift, sigma=sigma,

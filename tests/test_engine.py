@@ -1,5 +1,6 @@
 import pickle
 import threading
+import tracemalloc
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from mfchaos.engine import (BlowUpError, BoundedParetoLaw, ConstantLaw, EngineEr
                             WideSummary,
                             simulate_coupled, simulate_frozen,
                             simulate_interacting, simulate_mollified)
-from mfchaos.model import (ModelSpec, make_delay_model, make_linear_model,
+from mfchaos.model import (ModelError, ModelSpec, make_delay_model, make_linear_model,
                            make_sqrt_model)
 from mfchaos.measures import EmpiricalMeasure
 from mfchaos.paths import DelayMeasure
@@ -248,6 +249,86 @@ class TestLazyRun:
         assert seen == list(range(cfg.steps + 1))
         want = engine._run(cfg, mdl, ParticleEnsemble.from_law(cfg, mdl, GAUSS), cfg.seed)
         assert np.array(states).tobytes() == want.values.tobytes()
+
+
+class TestCoefficientBuffers:
+    """A step writes the coefficients into memory the run already holds,
+    through `out=` where a coefficient takes it, and copies them in where
+    it does not."""
+
+    @staticmethod
+    def peak_rise(stepper) -> int:
+        """Bytes the traced peak rises over five steps, after a first step
+        has made the run's buffers."""
+        tracemalloc.start()
+        try:
+            next(stepper)
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            for _ in range(5):
+                next(stepper)
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+            stepper.close()
+
+    def test_a_large_sqrt_step_allocates_no_particle_sized_array(self):
+        # simulate's run: the wide summary observes, the next draw is made ahead;
+        # a float64 array of the particles is 8N bytes, and two boolean
+        # isfinite masks of N bytes (the measure's and the update's) stay allowed
+        cfg = SimConfig(T=0.1, dt=0.01, N=65536, seed=3)
+        mdl = make_sqrt_model()
+        stepper = engine._run(cfg, mdl, ParticleEnsemble.from_law(cfg, mdl, GAUSS), cfg.seed,
+                              observe=WideSummary(cfg.times).observe, lazy=True)
+        assert self.peak_rise(stepper) < 4 * cfg.N
+
+    def test_a_coupled_stack_step_allocates_no_particle_sized_array(self):
+        # (40, 512): 20 interacting systems and their twins on a frozen flow; the
+        # drift's in-place add of the (20, 1) mean column takes numpy's iterator
+        # buffer of 8,192 values (64 KiB), which stays below the 80 KiB bound
+        cfg = SimConfig(T=0.1, dt=0.01, N=512, seed=3)
+        mdl = make_linear_model()
+        stepper = engine.coupled_stack(cfg, mdl, oracle_mean_flow(cfg, mdl, GAUSS),
+                                       list(range(20)), observe=lambda k, x, xs: None,
+                                       lazy=True)
+        assert self.peak_rise(stepper) < 4 * 40 * cfg.N
+
+    @pytest.mark.parametrize("name", ["sqrt", "linear-scalar-sigma", "sqrt-plain-sigma"])
+    def test_coefficients_without_out_give_the_same_bits(self, name):
+        # a coefficient is probed on its own: a plain (t, x[, mu]) callable beside
+        # a zoo coefficient taking out=, as the oracle's silent sigma sits
+        if name == "linear-scalar-sigma":
+            zoo = make_linear_model()
+            plain = replace(zoo, drift=lambda t, x, mu: zoo.drift(t, x, mu),
+                            sigma=lambda t, x: 0.2)
+        else:
+            zoo = make_sqrt_model()
+            plain = replace(zoo, sigma=lambda t, x: zoo.sigma(t, x))
+            if name == "sqrt":
+                plain = replace(plain, drift=lambda t, x, mu: zoo.drift(t, x, mu))
+        cfg = SimConfig(T=0.2, dt=0.01, N=300, seed=4)
+        flow = oracle_mean_flow(cfg, zoo, GAUSS)
+
+        def records(mdl):
+            return [simulate_interacting(cfg, mdl, GAUSS).values.tobytes(),
+                    simulate_frozen(cfg, mdl, flow, cfg.N, cfg.seed).values.tobytes(),
+                    engine.coupled_stack(cfg, mdl, flow, [4, 5, 4]).values.tobytes()]
+
+        assert records(plain) == records(zoo)
+
+    def test_a_nan_written_into_out_at_a_sane_state_is_model_error(self):
+        def drift(t, x, mu, out=None):
+            out = np.multiply(-1.0, x, out=out)
+            out[..., 5] = np.nan
+            return out
+
+        mdl = replace(make_linear_model(), drift=drift)
+        cfg = SimConfig(T=0.1, dt=0.01, N=8, seed=0)
+        with pytest.raises(ModelError, match="particle 5 at t=0 "):
+            simulate_interacting(cfg, mdl, GAUSS)
+        stack = ParticleEnsemble.from_law(cfg, mdl, GAUSS, seed=[1, 2, 3])
+        with pytest.raises(ModelError, match="particle 5 at t=0 "):
+            engine._run(cfg, mdl, stack, [1, 2, 3])
 
 
 class TestDrawAhead:
@@ -577,6 +658,12 @@ class TestEnsemble:
             ParticleEnsemble(r=0.0, dt=0.1, init_values=np.zeros((2, 4, 3)), stacked=True)
         ens = ParticleEnsemble(r=0.5, dt=0.1, init_values=np.arange(18.).reshape(3, 6))
         assert ens.batch().value_at(-0.25).tolist() == [2.5, 8.5, 14.5]
+
+    @pytest.mark.parametrize("r", [-0.5, float("nan")])
+    def test_window_must_be_finite_and_non_negative(self, r):
+        # neither is a one-column window
+        with pytest.raises(ValueError, match=r"^r must be finite and >= 0"):
+            ParticleEnsemble(r=r, dt=0.1, init_values=np.ones(3))
 
     def test_window_is_the_models_delay_span(self):
         cfg = SimConfig(T=0.2, dt=0.02, N=3, seed=0)
