@@ -16,6 +16,7 @@ loop, so a sweep holds one reference row at a time.
 
 from __future__ import annotations
 
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -196,7 +197,9 @@ def _one_coupled_run(config: SimConfig, model: ModelSpec, reference: MeasureFlow
         # W1 rounds within (ceil(log2 S) + 20) * 2**-53 relative (S <= N + M, w1_sorted_rows),
         # the bound within 2**-53 more: < 1e-14, so a bound 1e-9 below the sup cannot raise it
         live = bound(k, xs) * (1 + 1e-9) >= w1_sup
-        if live.any():
+        if live.all():   # as at k = 0: score xs itself, not a copy of every row
+            np.maximum(w1_sup, reference.w1_at(k, xs), out=w1_sup)
+        elif live.any():
             w1_sup[live] = np.maximum(w1_sup[live], reference.w1_at(k, xs[live]))
 
     pairing_sup = yield from _pairing_sups(config, model, reference, N, seeds, observe=score)
@@ -249,32 +252,38 @@ def _per_n(run, reference: MeasureFlow, sizes, workers: int) -> list:
 def _lockstep(run, reference: MeasureFlow, sizes, share) -> tuple[dict, dict]:
     """Step one copy of the reference and run(flow, N) for each index of the
     share, one grid time at a time, smaller N first: at grid time k every
-    run reads the reference's row k, which is then dropped. Returns each
+    run reads the reference's row k, which is then dropped. The reference's
+    run and the share's take their step buffers from one workspace
+    (`engine.shared_workspace`), since they step one at a time. Returns each
     run's result and each run's exception by index. Once a run fails, the
     share's runs of larger index are closed, since their outcome cannot be
     reported; a failing reference raises, after every run is closed."""
-    flow = StreamedFlow(reference)
     runs, results, errors = {}, {}, {}
-    try:
-        runs.update((i, run(flow, sizes[i])) for i in share)
-        for _ in range(reference.steps + 1):
-            flow.advance()
-            for i in list(runs):
-                if errors and i > min(errors):
-                    runs.pop(i).close()
-                    continue
-                try:
-                    next(runs[i])
-                except StopIteration as end:
-                    results[i] = end.value
-                    del runs[i]
-                except Exception as e:
-                    errors[i] = e
-                    del runs[i]
-    finally:
-        for stepper in runs.values():
-            stepper.close()
-        flow.close()
+    with engine.shared_workspace():
+        flow = StreamedFlow(reference)
+        try:
+            runs.update((i, run(flow, sizes[i])) for i in share)
+            for _ in range(reference.steps + 1):
+                flow.advance()
+                for i in list(runs):
+                    if errors and i > min(errors):
+                        runs.pop(i).close()
+                        continue
+                    try:
+                        next(runs[i])
+                    except StopIteration as end:
+                        results[i] = end.value
+                        del runs[i]
+                    except Exception as e:
+                        # the failed run's frames, which the traceback keeps,
+                        # would hold the share's workspace as long as the error
+                        traceback.clear_frames(e.__traceback__)
+                        errors[i] = e
+                        del runs[i]
+        finally:
+            for stepper in runs.values():
+                stepper.close()
+            flow.close()
     return results, errors
 
 

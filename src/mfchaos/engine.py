@@ -21,20 +21,31 @@ changes a bit. A step allocates no particle-sized array: the coefficients
 are written into memory the run already holds (see `_step`), through the
 optional `out=` of a coefficient that takes one.
 
+A step's sorted state, its update and its draw live only while it runs,
+so they are views, taken at each step, of a workspace's buffers (one per
+role, grown to the largest run that takes it). A run has a workspace of its
+own, unless it is a lazy run made inside `shared_workspace()`: the runs of
+one such block, which step one after another on one thread, as a sweep's
+share does, share one, and the block holds one buffer per role however many
+runs it steps. Between its steps a run keeps only its ring buffer and,
+where it draws ahead, its own draw buffers.
+
 `_run` steps on the caller's thread. Where one step draws at least
 `_AHEAD_MIN` values, counted over the distinct seeds of a stack, it draws
 step k+1's increments on one helper thread while step k runs: `simulate` at
 large N, the reference build and the rate sweep's largest stacks. The
-helper fills one of two buffers the caller allocated, lives only as long as
-the call, and since a draw is a pure function of (seed, stream, step), the
-thread it runs on changes no bit.
+helper fills one of two buffers of the run's own, which the caller
+allocated, lives only as long as the call, and since a draw is a pure
+function of (seed, stream, step), the thread it runs on changes no bit.
 """
 
 from __future__ import annotations
 
 import inspect
+import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -415,6 +426,39 @@ def _check_fit(flow, config: SimConfig) -> None:
 _AHEAD_MIN = 1 << 15
 
 
+class _Workspace:
+    """Step buffers by role, each grown to the largest run that takes it.
+    `take` hands out a view at the front of a role's buffer, so a view is
+    good only until the next step of any run that takes from it."""
+
+    def __init__(self):
+        self._bufs = {}
+
+    def take(self, role: str, shape) -> np.ndarray:
+        n = math.prod(shape)
+        if role not in self._bufs or self._bufs[role].size < n:
+            self._bufs.pop(role, None)   # the smaller buffer goes before the larger is made
+            self._bufs[role] = np.empty(n)
+        return self._bufs[role][:n].reshape(shape)
+
+
+_SHARED = ContextVar("_SHARED", default=None)
+
+
+@contextmanager
+def shared_workspace():
+    """Within the block, every lazy run `_run` makes on this thread takes its
+    step buffers from one workspace, released when the block ends and its
+    runs are gone. The block's runs must be stepped on one thread, so that no
+    two steps overlap; an observer sees xs overwritten by the next step of
+    any of them."""
+    token = _SHARED.set(_Workspace())
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
          groups=_OWN_LAW, observe=None, lazy: bool = False):
     """The Euler-Maruyama loop: config.steps steps from the ensemble's step counter.
@@ -425,16 +469,19 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
     own empirical law; every such flow must sit on the run's grid
     (`_check_fit`). The run reports through observe(k, x, xs) alone: it
     sees the state x at every grid time k, the last one included, with xs
-    sorted row by row; the next step overwrites both, so an observer copies
-    what it keeps. With no observer the run keeps its record (a PathRecord
-    of a run from step 0, through its `observe`) and returns it.
+    sorted row by row. The run's next step overwrites x, and xs is
+    overwritten by the next step of any run that shares the workspace
+    (`shared_workspace`), so an observer copies what it keeps. With no
+    observer the run keeps its record (a PathRecord of a run from step 0,
+    through its `observe`) and returns it.
 
     With lazy True nothing is stepped yet: the run comes back as a stepper,
     a generator that takes one grid time per `next`. It observes grid time k
     and steps to k + 1, then yields; at the last grid time it observes and
     ends. So several runs can advance in step, each reading a flow at grid
     time k only while it takes that step. Closing a stepper part way joins
-    its helper.
+    its helper. A lazy run made inside `shared_workspace()` takes its step
+    buffers from that block's workspace; any other run has its own.
 
     Where one step draws at least _AHEAD_MIN values (distinct seeds times
     streams), step k+1's increments are drawn on one helper thread while
@@ -453,7 +500,8 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
     if observe is None:
         record = PathRecord.blank(config.times, ensemble.current.shape)
         observe = record.observe
-    stepper = _steps(config, model, ensemble, seeds, groups, observe)
+    workspace = (_SHARED.get() if lazy else None) or _Workspace()
+    stepper = _steps(config, model, ensemble, seeds, groups, observe, workspace)
     if lazy:
         return stepper
     _drain(stepper)
@@ -487,9 +535,10 @@ def _measure(flow, k, xs):
     return EmpiricalMeasure(xs, presorted=True, stacked=xs.ndim == 2)
 
 
-def _step(model, outs, ensemble, groups, observe, k, dt, z, new, xs):
-    """Observe grid time k, sorting into the run's buffer xs, and write step
-    k's update into new. The coefficients are written into memory the run
+def _step(model, outs, ensemble, groups, observe, k, dt, z, workspace):
+    """Observe grid time k, sorting the state into the workspace's sorted
+    buffer xs, and advance the ensemble by step k, written first into its
+    update buffer new. The coefficients are written into memory the step
     already holds, so a step allocates no particle-sized array: each group's
     drift into its rows of new, then, once the drift has read mu, its sigma
     into its rows of xs, which no later group reads; z is this step's own
@@ -497,6 +546,7 @@ def _step(model, outs, ensemble, groups, observe, k, dt, z, new, xs):
     t = k * dt
     sqdt = np.sqrt(dt)
     x = ensemble.current
+    new, xs = workspace.take("update", x.shape), workspace.take("sorted", x.shape)
     _observe(observe, k, x, xs)
     for rows, flow in groups:
         xr, upd, zr, sr = x[rows], new[rows], z[rows], xs[rows]
@@ -515,24 +565,22 @@ def _step(model, outs, ensemble, groups, observe, k, dt, z, new, xs):
             _eval_coeffs(model, t, xr, ensemble.batch(rows), _measure(flow, k, xs[rows]),
                          drift, sig, outs)
             _check_advanced(xr, drift, sig, upd, k, t)
+    ensemble.advance(new)
 
 
-def _steps(config, model, ensemble, seeds, groups, observe):
+def _steps(config, model, ensemble, seeds, groups, observe, workspace):
     """`_run`'s stepper: one grid time per `next`."""
     dt = config.dt
     k0 = ensemble.step_index
     end = k0 + config.steps
-    new = np.empty_like(ensemble.current)   # advance copies it into the ring buffer
+    shape = ensemble.current.shape
     outs = (_takes_out(model.drift), _takes_out(model.sigma))   # each probed on its own
-    ahead = (1 if np.ndim(seeds) == 0 else len(set(seeds))) * new.shape[-1] >= _AHEAD_MIN
-    # step k's increments land in zs[k % len(zs)]: one buffer, or two when the
+    ahead = (1 if np.ndim(seeds) == 0 else len(set(seeds))) * shape[-1] >= _AHEAD_MIN
+    # drawing ahead, step k's increments land in zs[k % 2], the run's own: the
     # helper fills the next step's while this step uses its own as scratch.
     # They are allocated on this thread: arrays the helper allocated would
-    # grow its own malloc arena and the peak RSS with it.
-    zs = [np.empty_like(new) for _ in range(2 if ahead else 1)]
-    # each grid time is sorted into this one buffer, so a step allocates no
-    # sorted stack and no two are ever alive
-    xs = np.empty_like(new)
+    # grow its own malloc arena and the peak RSS with it
+    zs = [np.empty(shape) for _ in range(2)] if ahead else None
     with ThreadPoolExecutor(max_workers=1) if ahead else nullcontext() as helper:
         drawn = None
         for k in range(k0, end):
@@ -541,13 +589,13 @@ def _steps(config, model, ensemble, seeds, groups, observe):
             if drawn is not None and not drawn.cancel():
                 z = drawn.result()
             else:
-                z = _increments(seeds, k, zs[k % len(zs)])
+                z = _increments(seeds, k, zs[k % 2] if ahead else workspace.take("draw", shape))
             if helper and k + 1 < end:
                 drawn = helper.submit(_increments, seeds, k + 1, zs[(k + 1) % 2])
-            _step(model, outs, ensemble, groups, observe, k, dt, z, new, xs)
-            ensemble.advance(new)
+            _step(model, outs, ensemble, groups, observe, k, dt, z, workspace)
+            del z   # a view of the workspace lives no longer than its step
             yield k
-    _observe(observe, end, ensemble.current, xs)
+    _observe(observe, end, ensemble.current, workspace.take("sorted", shape))
 
 
 def step_interacting(ensemble: ParticleEnsemble, model: ModelSpec, t: float,

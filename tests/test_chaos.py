@@ -1,6 +1,7 @@
 import os
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -580,6 +581,64 @@ class TestStreamedReference:
                              "--set", "chaos.M=64", "--out", str(out)])
         assert code == 3
         assert not any(os.scandir(out))   # nothing published, nothing staged
+
+
+class TestShareWorkspace:
+    """A share's reference and stacks step out of one set of step buffers."""
+
+    def test_a_smaller_stack_adds_less_than_two_of_its_buffers(self):
+        # stacks of 4 seeds up to N = 4096 draw on the stepping thread (below
+        # _AHEAD_MIN); a stack with buffers of its own would add its sorted,
+        # update and draw buffers and its ring buffer, four (2R, N) arrays
+        cfg = SimConfig(T=0.1, dt=0.01, N=8, seed=5)
+        mdl, R = make_linear_model(), 4
+        assert R * 4096 < engine._AHEAD_MIN
+        ref = build_reference_flow(cfg, mdl, GAUSS, M=256)
+
+        def peak(sizes):
+            tracemalloc.start()
+            try:
+                chaos._per_n(lambda flow, N: _one_coupled_run(cfg, mdl, flow, N, R),
+                             ref, sizes, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        added = peak([1024, 2048, 4096]) - peak([2048, 4096])
+        assert added < 2 * (2 * R * 1024 * 8)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_workspace_is_released_and_a_later_solo_run_keeps_its_bits(self, monkeypatch):
+        made = []
+
+        class Watched(engine._Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(engine, "_Workspace", Watched)
+        cfg = SimConfig(T=0.5, dt=0.01, N=8, seed=9)
+        mdl = make_linear_model()
+        ref = build_reference_flow(cfg, mdl, GAUSS, M=64)
+
+        def solo():
+            return repr(engine._drain(_one_coupled_run(cfg, mdl, ref, 24, 2)))
+
+        want = solo()
+        out = chaos._per_n(lambda flow, N: _one_coupled_run(cfg, mdl, flow, N, 2),
+                           ref, [8, 16, 32], 1)
+        assert [d.N for runs in out for d in runs] == [8, 8, 16, 16, 32, 32]
+        assert made and all(w() is None for w in made)
+        made.clear()
+        bad = build_reference_flow(cfg, GROWS, GAUSS, M=64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError) as failed:
+                chaos._per_n(lambda flow, N: _one_coupled_run(cfg, GROWS, flow, N, 2),
+                             bad, [8, 16, 32], 1)
+        # the raised error, which the test still holds, keeps no workspace alive
+        assert failed.value.step > 0
+        assert made and all(w() is None for w in made)
+        assert solo() == want
 
 
 class TestReferenceFlows:

@@ -274,8 +274,8 @@ class TestCoefficientBuffers:
 
     def test_a_large_sqrt_step_allocates_no_particle_sized_array(self):
         # simulate's run: the wide summary observes, the next draw is made ahead;
-        # a float64 array of the particles is 8N bytes, and two boolean
-        # isfinite masks of N bytes (the measure's and the update's) stay allowed
+        # a float64 array of the particles is 8N bytes, and the update's
+        # boolean isfinite mask of N bytes stays allowed
         cfg = SimConfig(T=0.1, dt=0.01, N=65536, seed=3)
         mdl = make_sqrt_model()
         stepper = engine._run(cfg, mdl, ParticleEnsemble.from_law(cfg, mdl, GAUSS), cfg.seed,

@@ -43,6 +43,28 @@ class TestStackedMeasure:
         with pytest.raises(ValueError):
             EmpiricalMeasure([1.0, 2.0], stacked=True)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_unsorted_samples_must_be_finite(self, bad, stacked):
+        rows = np.array([[3.0, 1.0, 2.0], [0.0, -2.0, 5.0]])
+        rows[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            EmpiricalMeasure(rows if stacked else rows[1], stacked=stacked)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_presorted_samples_are_taken_without_a_pass(self, stacked):
+        # the caller's sorted, finite rows: no copy, and no N-byte finiteness mask
+        rows = np.sort(np.random.default_rng(5).normal(size=(4, 1 << 16)), axis=1)
+        rows = rows if stacked else rows[0]
+        tracemalloc.start()
+        try:
+            mu = EmpiricalMeasure(rows, presorted=True, stacked=stacked)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(mu.samples, rows)
+        assert peak < 4096
+
 
 class TestW1:
     def test_identity(self):
