@@ -196,18 +196,18 @@ class ParticleEnsemble:
         init_values = np.asarray(init_values, dtype=float)
         lead = 2 if stacked else 1
         width = (_ratio_as_int(r, dt, "delay") if r > 0 else 0) + 1
-        if init_values.ndim == lead:
-            init_values = np.repeat(init_values[..., None], width, axis=-1)
-        if init_values.ndim != lead + 1:
+        if init_values.ndim not in (lead, lead + 1):
             raise ValueError(f"initial values must have {lead} or {lead + 1} dimensions")
-        if init_values.shape[-1] != width:
+        if init_values.ndim == lead + 1 and init_values.shape[-1] != width:
             raise ValueError(f"a window over [-{r}, 0] at dt={dt} holds {width} values, "
                              f"got {init_values.shape[-1]}")
         if not np.isfinite(init_values).all():
             raise ValueError("initial ensemble values must be finite")
         self.r = float(r)
         self.dt = float(dt)
-        self.buf = init_values.copy()
+        # one copy, never the caller's array; a current value fills its whole window
+        self.buf = np.empty(init_values.shape[:lead] + (width,))
+        self.buf[...] = init_values if init_values.ndim == lead + 1 else init_values[..., None]
         self.head = 0
         self.step_index = 0
 
@@ -241,7 +241,9 @@ class ParticleEnsemble:
         r = model.delay_measure.span
         if np.ndim(seed) == 0:
             return cls(r, config.dt, initial_law.sample(seed, config.N))
-        rows = np.array([initial_law.sample(s, config.N) for s in seed])
+        rows = np.empty((len(seed), config.N))
+        for row, s in zip(rows, seed):
+            row[:] = initial_law.sample(s, config.N)
         return cls(r, config.dt, rows, stacked=True)
 
 

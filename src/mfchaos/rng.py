@@ -5,17 +5,53 @@ Every random quantity in the simulator is a pure function of
 (seed, stream) with the block counter pinned to the step index, so a
 value can be regenerated without replaying anything that came before
 it, and the result is independent of execution order or thread count.
-Normal variates go through the inverse CDF rather than Box-Muller so
-the mapping from counter to variate involves no libm transcendentals
-with platform-dependent rounding.
+Normal variates go through the inverse CDF rather than Box-Muller, one
+uniform to one variate, so variate i depends on uniform i alone. Their
+bits are those of the pinned scipy's compiled `ndtri` (Cephes: rational
+approximations, with a `log` in each tail, u < e^-2 or u > 1 - e^-2).
+
+`ndtri` is taken from `scipy.special._ufuncs` without running the
+`scipy.special` package initialiser, whose array-API layer imports most of
+numpy (`numpy.f2py`, `numpy.testing`, `numpy.ma`, ...): that is more than
+half of the CLI's start-up time and some 13 MiB of resident memory, where
+the compiled ufuncs take a few milliseconds. The package is never left
+half-registered: a later `import scipy.special` runs the real initialiser,
+which binds the same `ndtri`.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 import threading
 
 import numpy as np
-from scipy.special import ndtri
+import numpy.random   # here, so that a run's first draw imports nothing
+import scipy
+
+
+def _load_ndtri():
+    """`ndtri` of scipy.special._ufuncs, without executing scipy/special/__init__.py."""
+    loaded = sys.modules.get("scipy.special")
+    if loaded is not None:
+        return loaded.ndtri
+    # never scipy.special as an attribute: scipy's __getattr__ imports the package
+    before = set(sys.modules)
+    spec = importlib.machinery.PathFinder.find_spec("scipy.special", scipy.__path__)
+    sys.modules["scipy.special"] = importlib.util.module_from_spec(spec)   # not executed
+    try:
+        from scipy.special._ufuncs import ndtri
+        return ndtri
+    finally:
+        # leave sys.modules as it was: a later import of scipy.special then runs the
+        # real initialiser, and binds each submodule it loads as a package attribute
+        for name in set(sys.modules) - before:
+            if name == "scipy.special" or name.startswith("scipy.special."):
+                del sys.modules[name]
+
+
+ndtri = _load_ndtri()
 
 # Stream roles. Values are part of the reproducibility contract: changing
 # them changes every simulation output.

@@ -1,6 +1,8 @@
 import os
 import re
 import stat
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -419,3 +421,29 @@ class TestArtifacts:
         assert [r.split(",")[0] for r in rows[1:]] == ["32", "64", "128"]
         errs = [float(r.split(",")[1]) for r in rows[1:]]
         assert errs[0] > errs[-1]
+
+
+RUN_IMPORTS = """
+import sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import mfchaos.cli
+before = set(sys.modules)
+with tempfile.TemporaryDirectory() as out:
+    for args in (["simulate", "--set", "model.name=sqrt", "--set", "sim.N=32768",
+                  "--set", "sim.T=0.1", "--out", out + "/sim"],
+                 ["chaos-rate", "--set", "chaos.N_list=16,32,64", "--set", "chaos.replicas=2",
+                  "--set", "chaos.M=256", "--set", "sim.T=0.2", "--set", "sim.workers=2",
+                  "--out", out + "/rate"]):
+        assert mfchaos.cli.main(args) == 0, args
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_a_run_imports_nothing_the_cli_import_did_not():
+    # a module first imported mid-run would move its cost from start-up into the run;
+    # the simulate draws ahead on a helper thread, the sweep runs on two workers
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", RUN_IMPORTS, src], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]

@@ -672,6 +672,30 @@ class TestEnsemble:
         assert (ens.r, ens.buf.shape) == (0.06, (3, 4))
         assert ParticleEnsemble.from_law(cfg, make_linear_model(), GAUSS).buf.shape == (3, 1)
 
+    def test_stack_is_built_with_one_copy(self):
+        # the rate sweep's largest stack: the seeds' rows, then the ring buffer, and no more
+        cfg = SimConfig(T=0.2, dt=0.02, N=4096, seed=0)
+        seeds = list(range(500, 540))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ens = ParticleEnsemble.from_law(cfg, make_linear_model(), GAUSS, seed=seeds)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert ens.buf.shape == (40, 4096, 1)
+        assert peak < 2.1 * ens.buf.nbytes
+        for row, s in zip(ens.buf, seeds):
+            assert row[:, 0].tobytes() == GAUSS.sample(s, 4096).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 4)])
+    def test_buffer_never_aliases_the_callers_values(self, shape):
+        values = np.arange(12.0)[:int(np.prod(shape))].reshape(shape)
+        ens = ParticleEnsemble(r=0.3, dt=0.1, init_values=values)
+        ens.advance(np.full(3, -1.0))
+        assert not np.shares_memory(ens.buf, values)
+        assert values.tolist() == np.arange(12.0)[:int(np.prod(shape))].reshape(shape).tolist()
+
     def test_ring_buffer_matches_segments(self):
         ens = ParticleEnsemble(r=0.4, dt=0.2, init_values=np.array([1.0, 2.0]))
         ens.advance(np.array([10.0, 20.0]))

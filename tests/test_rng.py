@@ -1,6 +1,9 @@
 """The kept Philox generators against generators built fresh for every call."""
 
+import os
 import random
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -72,3 +75,35 @@ def test_cache_stays_bounded_and_exact():
         rng.uniforms(seed, 5, 0, 1)
     assert len(rng._kept.generators) <= rng._KEPT_MAX
     assert rng.normals(0, 5, 3, 16).tobytes() == fresh_normals(0, 5, 3, 16).tobytes()
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+COEXIST = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+if sys.argv[2] == "special-first":
+    import scipy.special
+import mfchaos.cli
+from mfchaos import rng
+if sys.argv[2] == "cli-first":
+    assert not [m for m in sys.modules if m.startswith("scipy.special")]
+import scipy.special, scipy.stats
+assert scipy.special.ndtri is rng.ndtri
+# scipy.stats reaches the ufuncs through the package's submodule attributes
+assert 0.5 < scipy.special._ufuncs.stdtr(3, 0.5) < 1
+u = np.array([5e-324, 2.0 ** -54, 0.3, 0.5, 1 - 2.0 ** -53])
+assert scipy.stats.norm.ppf(u).tobytes() == rng.ndtri(u).tobytes()
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("order", ["cli-first", "special-first"])
+def test_ndtri_is_scipy_specials_in_either_import_order(order):
+    # rng loads the compiled ndtri without running scipy.special's initialiser;
+    # a later import of the package must still run it and hand back the same ufunc
+    proc = subprocess.run([sys.executable, "-c", COEXIST, SRC, order], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]

@@ -165,12 +165,15 @@ class TestBound:
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def test_cli_import_leaves_quadrature_unloaded():
-    # only the audits integrate, so loading the CLI must not pay for scipy.integrate
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.special",
+                                    "scipy._lib._array_api", "numpy.f2py"])
+def test_cli_import_leaves_quadrature_unloaded(module):
+    # only the audits integrate, so loading the CLI must not pay for scipy.integrate;
+    # nor for the scipy.special package, whose array-API layer imports numpy.f2py
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import mfchaos.cli; "
-            "print('scipy.integrate' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
-                          timeout=120)
+            "print(sys.argv[2] in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, src, module], capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
