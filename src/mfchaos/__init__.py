@@ -9,7 +9,7 @@ cli (command-line front end).
 
 __version__ = "0.1.0"
 
-from .paths import DelayMeasure, Segment, l1m_norm, uniform_norm
+from .paths import DelayMeasure, l1m_norm
 from .measures import EmpiricalMeasure, pinsker_check, tv_estimate, w1
 from .model import ModelSpec, check_assumptions, make_model
 from .yamada import make_yamada, mollifier_error_bound, mollify_sigma
@@ -21,7 +21,7 @@ from .chaos import (coupling_error_curve, estimate_chaos_rate, fit_loglog,
                     theoretical_exponent)
 
 __all__ = [
-    "DelayMeasure", "Segment", "l1m_norm", "uniform_norm",
+    "DelayMeasure", "l1m_norm",
     "EmpiricalMeasure", "pinsker_check", "tv_estimate", "w1",
     "ModelSpec", "check_assumptions", "make_model",
     "make_yamada", "mollifier_error_bound", "mollify_sigma",

@@ -12,7 +12,9 @@ where none was, files of the same names are the caller's and stay. A
 failing run removes that directory and leaves the rest as it was.
 
 Exit codes: 0 success, 2 configuration error (bad input, a `ValueError`
-included, as one `config error:` line), 3 numerical blow-up, 4 non-convergence.
+included, as one `config error:` line), 3 numerical blow-up, 4 non-convergence,
+5 an audit (`check-assumptions`, `yamada-verify`) with a failed row. Exits 4
+and 5 still publish their tables: they are the report.
 """
 
 from __future__ import annotations
@@ -319,7 +321,7 @@ def _cmd_solve(rc: RunConfig, art: ArtifactWriter) -> int:
 
 def _reference(rc: RunConfig, cfg: SimConfig, mdl) -> solver.MeasureFlow:
     n_list = rc.get_ints("chaos.N_list")
-    M = rc.get_int("chaos.M") if rc.has("chaos.M") else 8 * max(n_list)
+    M = rc.get_count("chaos.M") if rc.has("chaos.M") else 8 * max(n_list)
     return chaos.build_reference_flow(cfg, mdl, rc.initial_law(), M)
 
 
@@ -372,7 +374,7 @@ def _cmd_check_assumptions(rc: RunConfig, art: ArtifactWriter) -> int:
     write_table(art.path_for("assumptions.csv"), "check,estimate,declared,passed",
                 [*rows, ([f"# {report.note}"],)])
     print("assumption audit:", "pass" if report.all_ok else "VIOLATIONS FOUND")
-    return 0
+    return 0 if report.all_ok else 5
 
 
 def _cmd_yamada_verify(rc: RunConfig, art: ArtifactWriter) -> int:
@@ -408,7 +410,7 @@ def _cmd_yamada_verify(rc: RunConfig, art: ArtifactWriter) -> int:
         bound = yamada.mollifier_error_bound(mdl.K_sigma, mdl.alpha, n)
         rows.append(([f"n={n}"], ["mollify_sup_gap"], [gap], [int(gap <= bound * (1 + 1e-6))]))
     write_table(art.path_for("yamada_audit.csv"), "epsilon,check,max_violation,passed", rows)
-    return 0
+    return 0 if all(passed == [1] for *_, passed in rows) else 5
 
 
 _SUBCOMMANDS = {

@@ -214,12 +214,11 @@ class ParticleEnsemble:
     @property
     def n(self) -> int:
         """Particles over all systems: N, or K*N for a stack."""
-        return self.buf[..., 0].size
+        return len(self.batch())
 
     @property
     def current(self) -> np.ndarray:
-        width = self.buf.shape[-1]
-        return self.buf[..., (self.head + width - 1) % width]
+        return self.batch().current
 
     def batch(self, rows=Ellipsis) -> SegmentBatch:
         return SegmentBatch(self.buf[rows], self.head, self.r, self.dt)

@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .measures import EmpiricalMeasure, w1
-from .paths import DelayMeasure, Segment, SegmentBatch, l1m_norm
+from .paths import DelayMeasure, SegmentBatch, l1m_norm
 
 
 class ModelError(Exception):
@@ -250,7 +250,8 @@ def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), sample_count: int = 10_
     Pairs include near-coincident points (spacings down to 1e-8 of the box)
     so Hoelder violations that only show at small scales are caught. Each
     point is handed to the coefficients as the engine hands its particles:
-    a one-element array, and a one-particle SegmentBatch for the path drift.
+    a one-element array, and a one-particle SegmentBatch for the path drift,
+    whose segment distance `l1m_norm` reads from the same kind of batch.
     """
     lo, hi = float(box[0]), float(box[1])
     if not lo < hi:
@@ -326,7 +327,7 @@ def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), sample_count: int = 10_
             xi, eta = rand_segment(), rand_segment()
             dB = abs(one(eval_path_drift(model, t, batch(xi), mu))
                      - one(eval_path_drift(model, t, batch(eta), nu)))
-            norm = l1m_norm(Segment(r, h, xi - eta), model.delay_measure) + wmn
+            norm = one(l1m_norm(batch(xi - eta), model.delay_measure)) + wmn
             if norm > 0:
                 ratio = dB / norm
                 if ratio > k_B_hat:

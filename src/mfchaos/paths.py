@@ -1,11 +1,12 @@
 """Path segments on the trailing delay window and probability measures on it.
 
-A Segment holds the last stretch of a scalar path on a uniform grid over
-[-r, 0]; it is the state of a delay equation. A SegmentBatch is that
-window for every particle at once, read from the engine's ring buffer. A
+A SegmentBatch is every particle's path on [-r, 0], the state of a delay
+equation, read from a ring buffer of values on a uniform grid; `value_at`
+is the one interpolation between grid points. The engine hands one to a
+model's path drift, and the assumption audit one of a single particle. A
 DelayMeasure is the atomic probability measure that weights the
-path-dependent drift. Both norms used on segments live here: the sup norm
-and the L1 norm against a DelayMeasure.
+path-dependent drift, and `l1m_norm` is the segment norm against it that
+the drift's Lipschitz condition uses.
 """
 
 from __future__ import annotations
@@ -25,64 +26,6 @@ def _ratio_as_int(num: float, den: float, what: str) -> int:
     if k is None or abs(num - k * den) > _GRID_RTOL * max(abs(num), abs(k * den), 1.0):
         raise ValueError(f"{what}: {num!r} is not an integer multiple of {den!r}")
     return k
-
-
-class Segment:
-    """Scalar path restricted to [-r, 0] on a grid of spacing h.
-
-    A plain window of grid values: `advance` builds a new Segment holding
-    all but the oldest value plus the new one, O(len) per step.
-    Instances are treated as immutable.
-    """
-
-    __slots__ = ("r", "h", "_buf")
-
-    def __init__(self, r: float, h: float, values):
-        if not (r > 0 and np.isfinite(r)) and r != 0.0:
-            raise ValueError(f"delay horizon r must be finite and >= 0, got {r!r}")
-        if not (h > 0 and np.isfinite(h)):
-            raise ValueError(f"grid spacing h must be positive, got {h!r}")
-        self.r = float(r)
-        self.h = float(h)
-        n = _ratio_as_int(r, h, "segment grid") + 1
-        buf = np.asarray(values, dtype=float)
-        if buf.shape != (n,):
-            raise ValueError(f"expected {n} grid values spanning [-{r}, 0], got shape {buf.shape}")
-        if not np.isfinite(buf).all():
-            raise ValueError("segment values must all be finite")
-        self._buf = buf.copy()
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    @property
-    def values(self) -> np.ndarray:
-        """Grid values ordered from lag -r up to lag 0."""
-        return self._buf.copy()
-
-    def advance(self, new_value: float) -> "Segment":
-        """One grid step of the segment process: drop the oldest value, append new."""
-        return Segment(self.r, self.h, np.append(self._buf[1:], float(new_value)))
-
-    def interpolate(self, s: float) -> float:
-        """Linear interpolation at lag s in [-r, 0]; exact at grid points."""
-        if not (-self.r - _GRID_RTOL <= s <= _GRID_RTOL):
-            raise ValueError(f"lag {s!r} outside [-{self.r}, 0]")
-        vals = self._buf
-        if len(vals) == 1:
-            return float(vals[0])
-        pos = (min(max(s, -self.r), 0.0) + self.r) / self.h
-        j = min(int(np.floor(pos)), len(vals) - 2)
-        frac = pos - j
-        return float((1.0 - frac) * vals[j] + frac * vals[j + 1])
-
-    def __sub__(self, other: "Segment") -> "Segment":
-        if (self.r, self.h) != (other.r, other.h):
-            raise ValueError("segments live on different grids")
-        return Segment(self.r, self.h, self.values - other.values)
-
-    def __repr__(self) -> str:
-        return f"Segment(r={self.r}, h={self.h}, n={len(self._buf)})"
 
 
 class SegmentBatch:
@@ -173,14 +116,13 @@ class DelayMeasure:
         return cls(np.linspace(-r, 0.0, atoms), np.full(atoms, 1.0 / atoms))
 
 
-def uniform_norm(seg: Segment) -> float:
-    """Sup norm of the segment over its window."""
-    return float(np.max(np.abs(seg.values)))
+def l1m_norm(seg: SegmentBatch, m: DelayMeasure) -> np.ndarray:
+    """Each particle's integral of |segment| against the delay measure.
 
-
-def l1m_norm(seg: Segment, m: DelayMeasure) -> float:
-    """Integral of |segment| against the delay measure."""
+    One dot product over the atoms per particle, the same bits whatever
+    the batch's shape.
+    """
     if m.span > seg.r + _GRID_RTOL:
         raise ValueError(f"measure atoms reach lag -{m.span}, outside segment window [-{seg.r}, 0]")
-    vals = np.array([abs(seg.interpolate(s)) for s in m.locations])
-    return float(np.dot(m.weights, vals))
+    atoms = np.stack([seg.value_at(float(s)) for s in m.locations], axis=-1)
+    return np.vecdot(np.abs(atoms), m.weights)

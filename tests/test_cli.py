@@ -45,6 +45,8 @@ BAD_INPUT = {
     "overflowing-horizon": ("simulate", "--set", "sim.T=1e300", "--set", "sim.dt=1e-300"),
     # values a subcommand would run on without doing its work, then report a success
     "check-assumptions-negative-samples": ("check-assumptions", "--set", "check.samples=-5"),
+    "chaos-zero-reference": ("chaos-rate", "--set", "chaos.M=0"),
+    "coupling-negative-reference": ("coupling", "--set", "chaos.M=-5"),
     "solve-zero-iterations": ("solve", "--set", "solve.max_iter=0"),
     "tv-study-no-times": ("tv-study", "--set", "chaos.times="),
     "unknown-init-law": ("simulate", "--set", "init.name=cauchy"),
@@ -71,6 +73,8 @@ BAD_INPUT = {
 # cases of BAD_INPUT whose one config error line names the key at fault
 NAMED_KEY = {
     "check-assumptions-negative-samples": "check.samples",
+    "chaos-zero-reference": "chaos.M",
+    "coupling-negative-reference": "chaos.M",
     "solve-zero-iterations": "solve.max_iter",
     "tv-study-no-times": "chaos.times",
     "unknown-init-law": "init.name",
@@ -185,6 +189,26 @@ class TestExitCodes:
         assert code == 4
         # non-convergence still publishes its diagnostics (that IS the report)
         assert (tmp_path / "diagnostics.csv").exists()
+
+    def test_failed_audit_is_five_and_publishes_its_table(self, tmp_path, capsys):
+        # alpha = 1 declares a Lipschitz sqrt diffusion, which it is not near 0
+        code = run_cli("check-assumptions", "--set", "model.name=sqrt", "--set", "model.alpha=1.0",
+                       "--set", "check.samples=500", "--out", str(tmp_path))
+        assert code == 5
+        assert capsys.readouterr().out == "assumption audit: VIOLATIONS FOUND\n"
+        rows = (tmp_path / "assumptions.csv").read_text().splitlines()
+        assert "sigma_hoelder" in rows[3] and rows[3].endswith(",0")
+        assert (tmp_path / "run_manifest.txt").exists()
+
+    def test_failed_yamada_row_is_five_and_publishes_its_table(self, tmp_path, monkeypatch):
+        # a zero error bound makes every mollification row fail
+        monkeypatch.setattr(cli.yamada, "mollifier_error_bound", lambda *a: 0.0)
+        code = run_cli("yamada-verify", "--epsilon", "0.1", "--set", "yamada.n_list=4",
+                       "--out", str(tmp_path))
+        assert code == 5
+        last = (tmp_path / "yamada_audit.csv").read_text().splitlines()[-1]
+        assert last.startswith("n=4,mollify_sup_gap,") and last.endswith(",0")
+        assert (tmp_path / "run_manifest.txt").exists()
 
     @pytest.mark.parametrize("argv", BAD_INPUT.values(), ids=list(BAD_INPUT))
     def test_rejected_input_is_two(self, tmp_path, capsys, argv):

@@ -118,7 +118,7 @@ GOLDEN = {
     "yamada_audit.csv":
         "101459e2f2135cc170fe24ac5ae6cffcd6de53c62557d4e91d8a55490865e48f",
     "delay.assumptions.csv":
-        "e5eea97512d457ae04b7fba5ba13660673568e5e3265176740be0e57df7567da",
+        "2f33cc796a266434eecae5b73c05b3b88f5f20752202e3fff00b6ca8fa817d49",
 }
 
 
