@@ -30,7 +30,7 @@ from .model import ModelSpec
 from .paths import _ratio_as_int
 from .solver import FrozenFlow, MeasureFlow, StreamedFlow
 from .table import write_table
-from .measures import EmpiricalMeasure, tv_estimate
+from .measures import _W1_BLOCK_BYTES, EmpiricalMeasure, tv_estimate
 
 _REF_STREAM = 7   # sub-seed label for reference-flow construction
 
@@ -140,6 +140,18 @@ class RateReport:
                       [d.limit_w1_sup], [int(d.triangle_ok)]) for d in self.runs])
 
 
+def _mean_gaps(xs, ys) -> np.ndarray:
+    """Each row's mean |xs - ys| (ys like xs, or one row) over row blocks of at
+    most _W1_BLOCK_BYTES; each row is reduced alone, so blocking changes no bit."""
+    ys = np.broadcast_to(ys, xs.shape)
+    out = np.empty(len(xs))
+    block = max(1, _W1_BLOCK_BYTES // (8 * xs.shape[-1]))
+    for a in range(0, len(xs), block):
+        gaps = xs[a:a + block] - ys[a:a + block]
+        out[a:a + block] = np.abs(gaps, out=gaps).mean(axis=1)
+    return out
+
+
 def _w1_upper_bound(reference: MeasureFlow, N: int):
     """bound(k, xs) >= W1(reference at k, row) for each row of a sorted (K, N)
     stack, in O(N) per row: W1(row, ref) <= W1(row, skel) + W1(skel, ref) for
@@ -150,8 +162,7 @@ def _w1_upper_bound(reference: MeasureFlow, N: int):
 
     def bound(k, xs):
         skel = reference.measure_at(k).samples[at]
-        gaps = xs - skel
-        return np.abs(gaps, out=gaps).mean(axis=1) + reference.w1_at(k, skel[None])[0]
+        return _mean_gaps(xs, skel) + reference.w1_at(k, skel[None])[0]
     return bound
 
 
@@ -172,7 +183,7 @@ def _pairing_sups(config: SimConfig, model: ModelSpec, reference: MeasureFlow, N
     def score(k, x, xs):
         if observe is not None:
             observe(k, x, xs)
-        np.maximum(pairing_sup, np.abs(x[:K] - x[K:]).mean(axis=1), out=pairing_sup)
+        np.maximum(pairing_sup, _mean_gaps(x[:K], x[K:]), out=pairing_sup)
 
     yield from coupled_stack(replace(config, N=N), model, reference, seeds, observe=score,
                              lazy=True)

@@ -13,8 +13,10 @@ updated ensemble.
 
 One loop, `_run`, does every step. It advances one system of N particles
 or a (K, N) stack of K such systems at once: row i is driven by its own
-seed, rows with equal seeds share their increments, and each group of
-rows sees either its rows' own empirical laws or a shared measure flow.
+seed, and each group of rows sees either its rows' own empirical laws or
+a shared measure flow. A step draws one row per distinct seed, which every
+row with that seed reads and no step writes (`_draw_rows`), so a coupled
+stack of K pairs draws K rows.
 Every row goes through the same per-row operations as a system stepped
 alone (sorted-row mean, `x + drift*dt + sig*sqdt*z`), so stacking never
 changes a bit. A step allocates no particle-sized array: the coefficients
@@ -390,22 +392,29 @@ def _check_advanced(x, drift, sig, new, k: int, t: float) -> None:
 
 
 def _increments(seeds, k: int, out: np.ndarray) -> np.ndarray:
-    """Fill out with the Brownian increments of step k and return it: one row
-    per seed, or one system for a single seed. Each distinct seed is drawn
-    straight into its first row and later rows with that seed copy it, so no
-    two rows share memory: `_run` overwrites out as scratch."""
+    """Fill out with the Brownian increments of step k and return it: one
+    system for a single seed, else one row per seed, as `_draw_rows` gives them."""
     n = out.shape[-1]
-    if np.ndim(seeds) == 0:
-        rng.normals(seeds, rng.STREAM_DRIVE, k, n, out=out)
-        return out
-    first = {}
-    for i, s in enumerate(seeds):
-        if s in first:
-            out[i] = out[first[s]]
-        else:
-            first[s] = i
-            rng.normals(s, rng.STREAM_DRIVE, k, n, out=out[i])
+    for s, row in [(seeds, out)] if np.ndim(seeds) == 0 else zip(seeds, out):
+        rng.normals(s, rng.STREAM_DRIVE, k, n, out=row)
     return out
+
+
+def _draw_rows(seeds, groups):
+    """A run's seeds to draw, each distinct seed once in first-seen order, and
+    its groups as (rows, draw rows, flow), resolved once per run. A group reads
+    a slice of the draw where its draw rows are consecutive, as both halves of
+    a coupled stack do, else an index array, which copies its rows each step:
+    only `stability_perturbation_test`'s pair, two rows of one seed, does so."""
+    if np.ndim(seeds) == 0:
+        return seeds, tuple((rows, rows, flow) for rows, flow in groups)
+    distinct = list(dict.fromkeys(seeds))
+    reads = np.array([distinct.index(s) for s in seeds])
+    resolved = []
+    for rows, flow in groups:
+        at = reads[rows]
+        resolved.append((rows, slice(at[0], at[-1] + 1) if (np.diff(at) == 1).all() else at, flow))
+    return distinct, tuple(resolved)
 
 
 _OWN_LAW = ((Ellipsis, None),)   # every row sees its own empirical law
@@ -485,7 +494,7 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
     buffers from that block's workspace; any other run has its own.
 
     Where one step draws at least _AHEAD_MIN values (distinct seeds times
-    streams), step k+1's increments are drawn on one helper thread while
+    particles), step k+1's increments are drawn on one helper thread while
     step k runs; the helper is joined before the run ends or raises, and
     draws no step beyond the last. A draw the helper has not started when
     its step comes is taken back and made on the stepping thread.
@@ -542,22 +551,23 @@ def _step(model, outs, ensemble, groups, observe, k, dt, z, workspace):
     update buffer new. The coefficients are written into memory the step
     already holds, so a step allocates no particle-sized array: each group's
     drift into its rows of new, then, once the drift has read mu, its sigma
-    into its rows of xs, which no later group reads; z is this step's own
-    draw, so its rows serve as scratch too."""
+    into its rows of xs, which no later group reads and where the noise term
+    is formed. z, this step's draw, is read through each group's draw rows
+    (`_draw_rows`) and never written."""
     t = k * dt
     sqdt = np.sqrt(dt)
     x = ensemble.current
     new, xs = workspace.take("update", x.shape), workspace.take("sorted", x.shape)
     _observe(observe, k, x, xs)
-    for rows, flow in groups:
-        xr, upd, zr, sr = x[rows], new[rows], z[rows], xs[rows]
+    for rows, reads, flow in groups:
+        xr, upd, zr, sr = x[rows], new[rows], z[reads], xs[rows]
         _eval_coeffs(model, t, xr, ensemble.batch(rows), _measure(flow, k, sr), upd, sr, outs)
         # new = x + drift*dt + sig*sqdt*z with the same roundings (+ and * commute)
         sr *= sqdt
-        zr *= sr
+        sr *= zr
         upd *= dt
         upd += xr
-        upd += zr
+        upd += sr
         if not np.isfinite(upd).all():
             # the coefficients are overwritten: evaluate them afresh from the
             # unchanged state to tell a model fault from a blow-up
@@ -570,18 +580,21 @@ def _step(model, outs, ensemble, groups, observe, k, dt, z, workspace):
 
 
 def _steps(config, model, ensemble, seeds, groups, observe, workspace):
-    """`_run`'s stepper: one grid time per `next`."""
+    """`_run`'s stepper: one grid time per `next`, each step drawing one row
+    per distinct seed (`_draw_rows`, resolved once per run)."""
     dt = config.dt
     k0 = ensemble.step_index
     end = k0 + config.steps
     shape = ensemble.current.shape
     outs = (_takes_out(model.drift), _takes_out(model.sigma))   # each probed on its own
-    ahead = (1 if np.ndim(seeds) == 0 else len(set(seeds))) * shape[-1] >= _AHEAD_MIN
+    seeds, groups = _draw_rows(seeds, groups)
+    zshape = shape if np.ndim(seeds) == 0 else (len(seeds), shape[-1])   # one row per seed
+    ahead = math.prod(zshape) >= _AHEAD_MIN
     # drawing ahead, step k's increments land in zs[k % 2], the run's own: the
-    # helper fills the next step's while this step uses its own as scratch.
+    # helper fills the next step's while this step reads its own.
     # They are allocated on this thread: arrays the helper allocated would
     # grow its own malloc arena and the peak RSS with it
-    zs = [np.empty(shape) for _ in range(2)] if ahead else None
+    zs = [np.empty(zshape) for _ in range(2)] if ahead else None
     with ThreadPoolExecutor(max_workers=1) if ahead else nullcontext() as helper:
         drawn = None
         for k in range(k0, end):
@@ -590,7 +603,7 @@ def _steps(config, model, ensemble, seeds, groups, observe, workspace):
             if drawn is not None and not drawn.cancel():
                 z = drawn.result()
             else:
-                z = _increments(seeds, k, zs[k % 2] if ahead else workspace.take("draw", shape))
+                z = _increments(seeds, k, zs[k % 2] if ahead else workspace.take("draw", zshape))
             if helper and k + 1 < end:
                 drawn = helper.submit(_increments, seeds, k + 1, zs[(k + 1) % 2])
             _step(model, outs, ensemble, groups, observe, k, dt, z, workspace)

@@ -286,7 +286,7 @@ def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), sample_count: int = 10_
         if i % 3 == 0:
             # near pair at a log-uniform spacing
             d = width * 10.0 ** rng.uniform(-8.0, 0.0) * rng.choice([-1.0, 1.0])
-            y = np.clip(x + d, lo, hi)
+            y = float(np.clip(x + d, lo, hi))
         elif i % 3 == 1:
             # pair anchored at the origin, where kinked coefficients are worst
             x = float(np.clip(width * 10.0 ** rng.uniform(-8.0, 0.0) * rng.choice([-1.0, 1.0]),

@@ -231,6 +231,17 @@ class TestSkippedScoring:
             # the margin the sweep's skip rule allows for rounding
             assert np.all(bound(k, xs) * (1 + 1e-9) >= ref.w1_at(k, xs))
 
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_row_blocked_gaps_are_the_gaps_taken_at_once(self, monkeypatch, rows):
+        # the skeleton bound's and the pairing gap's row means, over blocks of
+        # one, three or every row: each row is reduced alone, bit for bit
+        g = np.random.default_rng(0)
+        xs, ys = g.normal(size=(7, 1000)), g.normal(size=(7, 1000))
+        monkeypatch.setattr(chaos, "_W1_BLOCK_BYTES", 8 * 1000 * rows)
+        for other in (ys, ys[0]):
+            assert (chaos._mean_gaps(xs, other).tobytes()
+                    == np.abs(xs - other).mean(axis=1).tobytes())
+
     @pytest.mark.parametrize("N_list", [[16, 64, 512], [24, 40, 96]], ids=["nested", "non-nested"])
     @pytest.mark.parametrize("name", ["linear", "sqrt", "delay"])
     def test_runs_are_bit_equal_to_scoring_every_row(self, name, N_list):

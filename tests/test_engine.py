@@ -464,6 +464,79 @@ class TestDrawAhead:
         in_step = blow_up()
         assert (ahead.particle, ahead.step, ahead.t) == (in_step.particle, in_step.step, in_step.t)
 
+    @pytest.mark.parametrize("ahead", [True, False], ids=["ahead", "in-step"])
+    def test_a_coupled_stack_of_K_pairs_fills_draw_buffers_of_K_rows(self, monkeypatch, ahead):
+        # 2K rows, K seeds: each step fills one row per seed, each a row of a
+        # buffer of K rows; drawn ahead there are two such buffers, else one
+        K, N = len(self.SEEDS), self.ROW
+        cfg = SimConfig(T=0.05, dt=0.01, N=N, seed=5)
+        mdl = make_linear_model()
+        flow = oracle_mean_flow(cfg, mdl, GAUSS)
+        if not ahead:
+            monkeypatch.setattr(engine, "_AHEAD_MIN", K * N + 1)
+        outs = []
+        normals = rng.normals
+
+        def spying(seed, stream, step, n, out=None):
+            if stream == rng.STREAM_DRIVE:
+                outs.append((step, out))
+            return normals(seed, stream, step, n, out=out)
+
+        monkeypatch.setattr(rng, "normals", spying)
+        engine.coupled_stack(cfg, mdl, flow, self.SEEDS, observe=lambda k, x, xs: None)
+        assert sorted(k for k, _ in outs) == sorted(list(range(cfg.steps)) * K)
+        assert all(out.shape == (N,) and out.base.size == K * N for _, out in outs)
+        assert len({id(out.base) for _, out in outs}) == (2 if ahead else 1)
+        for k in range(cfg.steps):
+            at = sorted(out.ctypes.data for step, out in outs if step == k)
+            assert np.diff(at).tolist() == [8 * N] * (K - 1)   # K rows of one buffer
+
+    @pytest.mark.parametrize("ahead", [True, False], ids=["ahead", "in-step"])
+    def test_no_step_writes_its_draw(self, monkeypatch, ahead):
+        # each filled draw is read-only until its next fill: a step that wrote
+        # it would raise, and reading it alone gives the unwrapped bits
+        cfg = SimConfig(T=0.05, dt=0.01, N=64, seed=5)
+        lin, lagged = make_linear_model(), make_delay_model(r=0.03, sigma0=0.2)
+        flow = oracle_mean_flow(cfg, lin, GAUSS)
+        if ahead:
+            monkeypatch.setattr(engine, "_AHEAD_MIN", 1)
+
+        def runs():
+            own = ParticleEnsemble.from_law(cfg, lin, GAUSS, seed=self.SEEDS)
+            delay = ParticleEnsemble.from_law(cfg, lagged, GAUSS, seed=self.SEEDS)
+            return [engine._run(cfg, lin, own, self.SEEDS).values.tobytes(),
+                    engine.coupled_stack(cfg, lin, flow, self.SEEDS).values.tobytes(),
+                    engine._run(cfg, lagged, delay, self.SEEDS).values.tobytes()]
+
+        want = runs()
+        fill = engine._increments
+
+        def read_only(seeds, k, out):
+            out.flags.writeable = True
+            fill(seeds, k, out)
+            out.flags.writeable = False
+            return out
+
+        monkeypatch.setattr(engine, "_increments", read_only)
+        assert runs() == want
+
+    @pytest.mark.parametrize("ahead", [True, False], ids=["ahead", "in-step"])
+    @pytest.mark.parametrize("groups", [engine._OWN_LAW,
+                                        ((slice(0, 2), None), (slice(2, 5), None))],
+                             ids=["one-group", "two-groups"])
+    def test_scattered_repeated_seeds_step_as_each_seed_alone(self, monkeypatch, groups, ahead):
+        # no group's rows read consecutive draw rows, so each reads an index array
+        seeds = [5, 6, 5, 7, 6]
+        cfg = SimConfig(T=0.05, dt=0.01, N=64, seed=0)
+        mdl = make_sqrt_model()
+        if ahead:
+            monkeypatch.setattr(engine, "_AHEAD_MIN", 1)
+        stack = ParticleEnsemble.from_law(cfg, mdl, GAUSS, seed=seeds)
+        got = engine._run(cfg, mdl, stack, seeds, groups).values
+        for i, s in enumerate(seeds):
+            alone = simulate_interacting(replace(cfg, seed=s), mdl, GAUSS).values
+            assert got[:, i].tobytes() == alone.tobytes()
+
 
 class TestFrozen:
     def test_point_flow_reproduces_ou_mean(self):

@@ -117,6 +117,19 @@ class TestCheckAssumptions:
         assert rep.all_ok
         assert 0.0 < rep.K_B_hat <= 1.0 + rep.tol
 
+    @pytest.mark.parametrize("seed", [0, 1, 20260810])
+    @pytest.mark.parametrize("name, params", [("linear", {}), ("sqrt", {}), ("delay", {}),
+                                              ("delay", {"m": "uniform", "atoms": 8})],
+                             ids=["linear", "sqrt", "delay", "delay-uniform-8"])
+    def test_estimates_and_witnesses_are_python_floats(self, name, params, seed):
+        # a near pair clipped to the box gave numpy scalars that reached the
+        # estimates and witnesses; every delay audit's first drift ratio is one
+        rep = check_assumptions(make_model(name, **params), sample_count=2_000, seed=seed)
+        values = [rep.K_b_hat, rep.K_B_hat, rep.K_sigma_hat, rep.alpha_hat]
+        for ratio, witness in rep.witnesses.values():
+            values += [ratio, *(witness or ())]
+        assert [type(v) for v in values] == [float] * len(values)
+
     def test_report_carries_audit_disclaimer(self):
         rep = check_assumptions(make_linear_model(), sample_count=500, seed=5)
         assert "no violation" in rep.note
