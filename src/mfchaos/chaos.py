@@ -333,12 +333,13 @@ def estimate_chaos_rate(config_base: SimConfig, model: ModelSpec, N_list, replic
     N_list = [int(n) for n in N_list]
     if len(N_list) < 3:
         raise ValueError("need at least three ensemble sizes to fit a rate")
+    theoretical = theoretical_exponent(model.moment_order)   # a bad p is rejected unstepped
     runs = _coupled_sweep(config_base, model, reference, N_list, replicas, workers)
     means, stderrs = _mean_stderr([[d.w1_sup for d in runs if d.N == n] for n in N_list])
     slope, intercept, sst = fit_loglog(N_list, means)
     return RateReport(N_list=N_list, error_mean=means, error_stderr=stderrs,
                       slope=slope, intercept=intercept, slope_stderr=sst,
-                      theoretical=theoretical_exponent(model.moment_order), runs=runs)
+                      theoretical=theoretical, runs=runs)
 
 
 @dataclass

@@ -110,7 +110,6 @@ class SimConfig:
 @dataclass(frozen=True)
 class ConstantLaw:
     value: float = 1.0
-    name: str = "constant"
 
     def __post_init__(self):
         if not np.isfinite(self.value):
@@ -128,7 +127,6 @@ class ConstantLaw:
 class GaussianLaw:
     mean: float = 1.0
     std: float = 0.5
-    name: str = "gaussian"
 
     def __post_init__(self):
         if not np.isfinite(self.mean):
@@ -148,7 +146,6 @@ class BoundedParetoLaw:
     tail: float = 1.5
     lo: float = 0.5
     hi: float = 50.0
-    name: str = "pareto"
 
     def __post_init__(self):
         if not self.tail > 0:

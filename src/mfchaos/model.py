@@ -16,8 +16,9 @@ When the engine steps a stack of K systems together, x is (K, N) with one
 system per row, and the segment batch is stacked the same way. The measure
 is then either one shared measure (a frozen flow's) or a stacked
 EmpiricalMeasure whose `mean` is a (K, 1) column, one entry per row, so a
-term written `c * mu.mean` broadcasts row by row. Coefficients must act
-elementwise across rows.
+term written `c * mu.mean` broadcasts row by row. The audit hands over each
+audit time's tuples as such a stack of K one-particle systems, (K, 1), and
+its zero-point bounds one element. Coefficients must act elementwise.
 
 The drift and sigma may take an optional `out=`: drift(t, x, mu, out=None)
 and sigma(t, x, out=None) then write their values into out, a float64
@@ -37,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import EmpiricalMeasure, w1
+from .measures import EmpiricalMeasure, w1_sorted_rows
 from .paths import DelayMeasure, SegmentBatch, l1m_norm
 
 
@@ -248,10 +249,11 @@ def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), sample_count: int = 10_
     """Probe the declared constants on random (t, x, y, mu, nu) tuples.
 
     Pairs include near-coincident points (spacings down to 1e-8 of the box)
-    so Hoelder violations that only show at small scales are caught. Each
-    point is handed to the coefficients as the engine hands its particles:
-    a one-element array, and a one-particle SegmentBatch for the path drift,
-    whose segment distance `l1m_norm` reads from the same kind of batch.
+    so Hoelder violations that only show at small scales are caught. The
+    tuples are drawn first, then each coefficient is called once per audit
+    time on its K tuples as a run hands over a stack: x and y (K, 1), mu and
+    nu stacked EmpiricalMeasures, the segments one (K, 1, width) SegmentBatch.
+    The zero-point bounds hand over one element and a one-particle batch.
     """
     lo, hi = float(box[0]), float(box[1])
     if not lo < hi:
@@ -260,26 +262,13 @@ def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), sample_count: int = 10_
     width = hi - lo
 
     r = model.delay_measure.span
-    h = (r / 16.0) if r > 0 else 1.0
-    seg_len = (16 if r > 0 else 0) + 1
-
-    def rand_segment():
-        return lo + (hi - lo) * rng.random(seg_len)
+    h, seg_len = (r / 16.0, 17) if r > 0 else (1.0, 1)   # 16 steps across the window
 
     def batch(vals):
-        return SegmentBatch(vals[None], 0, r, h)
+        """One particle's segment, or a (K, width) array as K systems of one."""
+        return SegmentBatch(vals[..., None, :], 0, r, h)
 
-    def one(value) -> float:
-        """The value at the one particle; a coefficient may return a scalar that broadcasts."""
-        return float(np.ravel(value)[0])
-
-    worst = {"drift": (-np.inf, None), "path": (-np.inf, None), "sigma": (-np.inf, None)}
-    k_b_hat = -np.inf
-    k_B_hat = 0.0
-    k_sig_hat = 0.0
-    drift_viol = path_viol = sig_viol = 0.0
-    log_pairs = []
-
+    points, atoms, segments = [], [], []
     for i in range(sample_count):
         t = float(rng.choice(_T_GRID))
         x = lo + width * rng.random()
@@ -294,78 +283,89 @@ def check_assumptions(model: ModelSpec, box=(-3.0, 3.0), sample_count: int = 10_
             y = 0.0
         else:
             y = lo + width * rng.random()
-        mu = EmpiricalMeasure(lo + width * rng.random(_MEASURE_SIZE))
-        nu = EmpiricalMeasure(lo + width * rng.random(_MEASURE_SIZE))
-        wmn = w1(mu, nu)
-        dx = abs(x - y)
-        px, py = np.array([x]), np.array([y])
+        points.append((t, x, y))
+        atoms.append(lo + width * rng.random((2, _MEASURE_SIZE)))   # mu's, then nu's
+        if i % 4 == 0:   # the path drift is probed on every 4th tuple: segments are costly
+            segments.append(lo + width * rng.random((2, seg_len)))   # xi, then eta
 
-        # one-sided drift condition
-        gap = one(eval_drift(model, t, px, mu)) - one(eval_drift(model, t, py, nu))
-        lhs = gap * np.sign(x - y)
-        rhs_scale = wmn + dx
-        if rhs_scale > 0:
-            ratio = float(lhs) / rhs_scale
-            if ratio > k_b_hat:
-                k_b_hat = ratio
-                worst["drift"] = (ratio, (t, x, y))
-            drift_viol = max(drift_viol, float(lhs) - model.K_b * rhs_scale)
+    t, x, y = np.reshape(points, (-1, 3)).T
+    measures = np.sort(np.reshape(atoms, (-1, 2, _MEASURE_SIZE)), axis=-1)
+    xi, eta = np.reshape(segments, (-1, 2, seg_len)).transpose(1, 0, 2)
+    wmn = w1_sorted_rows(measures[:, 0], measures[:, 1])
 
-        # Hoelder diffusion
-        dsig = abs(one(eval_sigma(model, t, px)) - one(eval_sigma(model, t, py)))
-        if dx > 0:
-            ratio = dsig / dx ** model.alpha
-            if ratio > k_sig_hat:
-                k_sig_hat = ratio
-                worst["sigma"] = (ratio, (t, x, y))
-            sig_viol = max(sig_viol, dsig - model.K_sigma * dx ** model.alpha)
-            if dsig > 0:
-                log_pairs.append((np.log(dx), np.log(dsig)))
+    def mu_nu(rows):
+        return (EmpiricalMeasure(measures[rows, k], presorted=True, stacked=True) for k in (0, 1))
 
-        # path-drift Lipschitz condition (every 4th sample: segments are costly)
-        if i % 4 == 0:
-            xi, eta = rand_segment(), rand_segment()
-            dB = abs(one(eval_path_drift(model, t, batch(xi), mu))
-                     - one(eval_path_drift(model, t, batch(eta), nu)))
-            norm = one(l1m_norm(batch(xi - eta), model.delay_measure)) + wmn
-            if norm > 0:
-                ratio = dB / norm
-                if ratio > k_B_hat:
-                    k_B_hat = ratio
-                    worst["path"] = (ratio, (t,))
-                path_viol = max(path_viol, dB - model.K_B * norm)
+    # each call's value is a (K, 1) column, or a scalar that broadcasts
+    fx, fy, sx, sy = np.empty((4, len(t)))
+    bx, by = np.empty((2, len(xi)))
+    for tk in _T_GRID.tolist():
+        rows = np.flatnonzero(t == tk)
+        probes = rows[rows % 4 == 0]
+        if len(rows):
+            mu, nu = mu_nu(rows)
+            fx[rows, None] = eval_drift(model, tk, x[rows, None], mu)
+            fy[rows, None] = eval_drift(model, tk, y[rows, None], nu)
+            sx[rows, None] = eval_sigma(model, tk, x[rows, None])
+            sy[rows, None] = eval_sigma(model, tk, y[rows, None])
+        if len(probes):
+            (mu, nu), j = mu_nu(probes), probes // 4
+            bx[j, None] = eval_path_drift(model, tk, batch(xi[j]), mu)
+            by[j, None] = eval_path_drift(model, tk, batch(eta[j]), nu)
+
+    def audit(value, scale, probed, bound, floor, *coords):
+        """The largest probed value / scale and (it, its first tuple's coords), else
+        (floor, (-inf, None)); and whether value <= bound * scale + tol where probed."""
+        ratio = np.divide(value, scale, out=np.full(len(value), -np.inf), where=probed)
+        ok = float(np.max(value - bound * scale, where=probed, initial=0.0)) <= _TOL
+        j = int(np.argmax(ratio)) if len(ratio) else 0
+        if not (len(ratio) and ratio[j] > floor):
+            return floor, (-np.inf, None), ok
+        return float(ratio[j]), (float(ratio[j]), tuple(float(c[j]) for c in coords)), ok
+
+    # one-sided drift condition
+    dx = np.abs(x - y)
+    rhs_scale = wmn + dx
+    k_b_hat, drift_worst, drift_ok = audit((fx - fy) * np.sign(x - y), rhs_scale,
+                                           rhs_scale > 0, model.K_b, -np.inf, t, x, y)
+    # Hoelder diffusion, with Python's float pow per tuple: np.power may round otherwise
+    dsig = np.abs(sx - sy)
+    scale = np.array([d ** model.alpha for d in dx.tolist()])
+    k_sig_hat, sigma_worst, sigma_ok = audit(dsig, scale, dx > 0, model.K_sigma, 0.0, t, x, y)
+    # path-drift Lipschitz condition
+    dB = np.abs(bx - by)
+    norm = l1m_norm(batch(xi - eta), model.delay_measure)[:, 0] + wmn[::4]
+    k_B_hat, path_worst, path_ok = audit(dB, norm, norm > 0, model.K_B, 0.0, t[::4])
 
     # zero-point bounds declared alongside the regularity conditions
-    zero_seg = batch(np.zeros(seg_len))
-    delta0 = EmpiricalMeasure([0.0])
+    zero_seg, delta0 = batch(np.zeros(seg_len)), EmpiricalMeasure([0.0])
     bounds_ok = True
-    for t in _T_GRID:
-        if abs(one(eval_sigma(model, float(t), np.zeros(1)))) > model.K_sigma + _TOL:
-            bounds_ok = False
-        if abs(one(eval_path_drift(model, float(t), zero_seg, delta0))) > model.K_B + _TOL:
-            bounds_ok = False
+    for tk in _T_GRID.tolist():
+        s0, b0 = eval_sigma(model, tk, np.zeros(1)), eval_path_drift(model, tk, zero_seg, delta0)
+        bounds_ok &= bool(np.all(np.abs(s0) <= model.K_sigma + _TOL)
+                          and np.all(np.abs(b0) <= model.K_B + _TOL))
 
     # Hoelder exponent estimate: slope of the upper envelope of |dsigma|
     # against |x - y| across log-spaced distance bins. The envelope (not a
     # pointwise fit) is what tracks the worst-case exponent the constant
     # K_sigma has to cover.
-    if len(log_pairs) >= 32:
-        lp = np.array(log_pairs)
-        edges = np.linspace(lp[:, 0].min(), lp[:, 0].max(), 13)
+    logged = (dx > 0) & (dsig > 0)
+    log_dx, log_dsig = np.log(dx[logged]), np.log(dsig[logged])
+    if len(log_dx) >= 32:
+        edges = np.linspace(log_dx.min(), log_dx.max(), 13)
         centers, peaks = [], []
         for a, b in zip(edges[:-1], edges[1:]):
-            m = (lp[:, 0] >= a) & (lp[:, 0] < b)
+            m = (log_dx >= a) & (log_dx < b)
             if m.any():
                 centers.append(0.5 * (a + b))
-                peaks.append(lp[m, 1].max())
+                peaks.append(log_dsig[m].max())
         alpha_hat = float(np.polyfit(centers, peaks, 1)[0]) if len(centers) >= 3 else float("nan")
     else:
         alpha_hat = float("nan")
 
     return AssumptionReport(
         K_b_hat=k_b_hat, K_B_hat=k_B_hat, K_sigma_hat=k_sig_hat, alpha_hat=alpha_hat,
-        drift_ok=drift_viol <= _TOL, path_drift_ok=path_viol <= _TOL,
-        sigma_ok=sig_viol <= _TOL, bounds_ok=bounds_ok,
-        witnesses={k: v for k, v in worst.items()},
+        drift_ok=drift_ok, path_drift_ok=path_ok, sigma_ok=sigma_ok, bounds_ok=bounds_ok,
+        witnesses={"drift": drift_worst, "path": path_worst, "sigma": sigma_worst},
         tol=_TOL,
     )

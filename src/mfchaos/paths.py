@@ -3,7 +3,7 @@
 A SegmentBatch is every particle's path on [-r, 0], the state of a delay
 equation, read from a ring buffer of values on a uniform grid; `value_at`
 is the one interpolation between grid points. The engine hands one to a
-model's path drift, and the assumption audit one of a single particle. A
+model's path drift, and the assumption audit a stack of one-particle ones. A
 DelayMeasure is the atomic probability measure that weights the
 path-dependent drift, and `l1m_norm` is the segment norm against it that
 the drift's Lipschitz condition uses.

@@ -87,7 +87,8 @@ class MeasureFlow:
 
     def w1_at(self, k: int, rows: np.ndarray) -> np.ndarray:
         """W1 between the measure at grid time k and each row of a row-sorted stack."""
-        return w1_sorted_rows(rows, np.broadcast_to(self.values[k], (len(rows), self.m)))
+        return w1_sorted_rows(rows, np.broadcast_to(self.measure_at(k).samples,
+                                                    (len(rows), self.m)))
 
     def rows(self):
         """The sorted row of every grid time, in order."""
@@ -104,12 +105,12 @@ class FrozenFlow(MeasureFlow):
     """The empirical law of M paths driven by a frozen flow, stepped when it
     is read. `rows()` steps a fresh run and hands over each grid time's
     sorted row as the run reaches it, so a reader that keeps none holds one
-    row at a time, however many steps there are; `values` steps it once, as
-    `frozen_law`, and keeps every row."""
+    row at a time, however many steps there are; `values` steps it once and
+    keeps every row, so no record is kept and none is sorted again."""
 
     def __init__(self, config: SimConfig, model: ModelSpec, flow: MeasureFlow, M: int,
                  seed: int):
-        # the stored rows, and what MeasureFlow checks of them, come with `values`
+        # the rows come with `values`, from a run whose update check keeps them finite
         self.times = config.times
         self.initial_law = flow.initial_law
         self._law = (config, model, flow, M, seed)
@@ -122,7 +123,10 @@ class FrozenFlow(MeasureFlow):
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = frozen_law(*self._law).values
+            values = np.empty((len(self.times), self.m))
+            for k, row in enumerate(self.rows()):
+                values[k] = row
+            self._values = values
         return self._values
 
     def rows(self):
@@ -163,9 +167,7 @@ class StreamedFlow:
             raise ValueError(f"streamed flow is at grid time {self._k}, not {k}")
         return self._mu
 
-    def w1_at(self, k: int, rows: np.ndarray) -> np.ndarray:
-        return w1_sorted_rows(rows, np.broadcast_to(self.measure_at(k).samples,
-                                                    (len(rows), self.m)))
+    w1_at = MeasureFlow.w1_at   # one body: it reads the row through `measure_at`
 
     def close(self) -> None:
         self._rows.close()
@@ -194,21 +196,8 @@ def apply_phi(config: SimConfig, model: ModelSpec, flow: MeasureFlow, M: int,
     """
     if M < 2:
         raise ValueError("need at least two paths per iteration")
-    return frozen_law(config, model, flow, M, seed)
-
-
-def frozen_law(config: SimConfig, model: ModelSpec, flow: MeasureFlow, M: int,
-               seed: int) -> MeasureFlow:
-    """Empirical law of M paths driven by the frozen flow, kept from the
-    rows each step sorts anyway, so no record is kept or sorted again.
-    `FrozenFlow` is the same law stepped when it is read."""
-    values = np.empty((config.steps + 1, M))
-
-    def keep(k, x, xs):
-        values[k] = xs
-
-    simulate_frozen(config, model, flow, M, seed, observe=keep)
-    return MeasureFlow(config.times, values, initial_law=flow.initial_law, presorted=True)
+    return MeasureFlow(config.times, FrozenFlow(config, model, flow, M, seed).values,
+                       initial_law=flow.initial_law, presorted=True)
 
 
 @dataclass

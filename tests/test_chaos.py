@@ -48,6 +48,16 @@ class TestTheoreticalExponent:
             with pytest.raises(ValueError):
                 theoretical_exponent(bad)
 
+    def test_rate_sweep_rejects_p_two_before_stepping(self, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("a run was stepped")
+
+        monkeypatch.setattr(chaos, "_coupled_sweep", sweep)
+        mdl = make_linear_model(p=2.0)
+        ref = build_reference_flow(CFG, mdl, GAUSS, M=64)   # stepped only when read
+        with pytest.raises(ValueError, match="moment order 2"):
+            estimate_chaos_rate(CFG, mdl, N_SMALL, 2, ref)
+
 
 class TestFitLoglog:
     def test_exact_power_law(self):

@@ -24,6 +24,9 @@ TINY = ("--set", "sim.T=0.1", "--set", "sim.dt=0.01", "--set", "sim.N=8",
 BAD_INPUT = {
     "one-replica": ("chaos-rate", "--set", "chaos.replicas=1"),
     "decreasing-N_list": ("chaos-rate", "--set", "chaos.N_list=32,16,8"),
+    # a moment order the rate fit excludes, rejected before any N is stepped
+    "chaos-rate-moment-order-two": ("chaos-rate", "--set", "model.p=2",
+                                    "--set", "chaos.N_list=64,128,256,512"),
     "coupling-one-replica": ("coupling", "--set", "chaos.replicas=1"),
     "coupling-repeated-N": ("coupling", "--set", "chaos.N_list=8,8"),
     # the study time is on the grid, so only the repeat can be rejected

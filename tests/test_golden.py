@@ -13,8 +13,9 @@ on the linear model and on `sqrt`. Every other CSV
 artifact is pinned as well: long and wide `record.csv` (from the library
 and from the CLI's `simulate`), the Picard
 `flow.csv` and `diagnostics.csv`, `summary.csv`, and the CLI's
-`assumptions.csv` and `yamada_audit.csv`. A change that alters any digest
-on purpose must say why in CHANGES.md.
+`assumptions.csv` and `yamada_audit.csv`, and the `repr` of whole
+assumption reports, which also hold the witnesses `assumptions.csv` leaves
+out. A change that alters any digest on purpose must say why in CHANGES.md.
 """
 
 import hashlib
@@ -29,7 +30,9 @@ from mfchaos.chaos import (build_reference_flow, coupling_error_curve, estimate_
 from mfchaos.engine import (GaussianLaw, ParticleEnsemble, PathRecord, SimConfig, WideSummary,
                             simulate_coupled, simulate_frozen, simulate_interacting,
                             step_interacting)
-from mfchaos.model import make_delay_model, make_linear_model, make_sqrt_model
+from mfchaos.model import (ModelSpec, check_assumptions, make_delay_model, make_linear_model,
+                           make_sqrt_model)
+from mfchaos.paths import DelayMeasure
 from mfchaos.solver import solve_fixed_point
 
 SEED = 20260810
@@ -119,6 +122,42 @@ GOLDEN = {
         "101459e2f2135cc170fe24ac5ae6cffcd6de53c62557d4e91d8a55490865e48f",
     "delay.assumptions.csv":
         "2f33cc796a266434eecae5b73c05b3b88f5f20752202e3fff00b6ca8fa817d49",
+    "audit.linear.0":
+        "ddfaa0009349e26dcb74fe555ec2db4829d6fc30cd2318bdca75898bb82b63ef",
+    "audit.linear.1":
+        "5c599ebd12ae30d75c46c31817d27d38bf09c7dd03319f0fc2fb669ddbb713a3",
+    "audit.linear.20260810":
+        "f5c3afaeef4f7bf494e4a1b2347023d978beba796d15b107a17c6dc0bcbf2bfd",
+    "audit.sqrt.0":
+        "2a3849d3383b47a18ea767a33c0a4a07e09ed4d747af59e265a50153deb9858e",
+    "audit.sqrt.1":
+        "fc4527ae13349dbd46bab78b783cd72a25656098681e76bb21e64c9f541c55c7",
+    "audit.sqrt.20260810":
+        "94817c71ccb73d168c73e625df1b2d54ba8cc807181e331ca5663b427e6a1e97",
+    "audit.delay.0":
+        "0d858117e820db4a12682516b7871bd6f69f6a069ca1993d4412a251e445654f",
+    "audit.delay.1":
+        "f436a30bd52ac765afb4d16e56206cabd3755bdaba308be45926b2b85556f2ce",
+    "audit.delay.20260810":
+        "7fc5b897e3f624445d968d4a202309fb7022abf43309d61228d18951d846e372",
+    "audit.delay-uniform-8.0":
+        "1d8464553db6bfe63d39b85f695ef33bccefb7e68b2639dec7410845e2d6b1bc",
+    "audit.delay-uniform-8.1":
+        "f5ea2796199643bf877355220cfe7b544d9704c7d04d479b95e7acc181266471",
+    "audit.delay-uniform-8.20260810":
+        "69f84f3273351856c232164a8f5039c8c14065e0bd0bfb582c3a362435440466",
+    "audit.sqrt-alpha-1.0":
+        "9f7a3ed57dd92c774d337635b1d4a7cab0e7bdc96178019a0b43fde813c7f906",
+    "audit.sqrt-alpha-1.1":
+        "31cddd2d46c0de9f55430dde9ae4d61fb349b64bbda9e4fa9c3c2a9504c543d4",
+    "audit.sqrt-alpha-1.20260810":
+        "778f946416296050f171381f09932df175cb3bcd86afa045e7b77b4d44985df2",
+    "audit.timed.0":
+        "dba04233f6cba37d835f7a6c9ff6a65cef2d30ea9e3552e55a4cb02bb55fd275",
+    "audit.timed.1":
+        "e0b0a6cdc2fac554623eb05bca715237ea1772222e2c7150f45c836208bc2310",
+    "audit.timed.20260810":
+        "9e40b902510d6f24ab5ca5670d85317cecc472125223d2770a8c389774d547c6",
 }
 
 
@@ -296,3 +335,30 @@ def test_cli_audit_csv(tmp_path, name, argv):
     assert cli.main([*argv, "--seed", str(SEED), "--out", str(tmp_path)]) == 0
     artifact = ".".join(name.split(".")[-2:])   # a digest's name ends in its file's
     assert sha((tmp_path / artifact).read_bytes()) == GOLDEN[name]
+
+
+def timed_model():
+    """Every coefficient reads t, so the audit's tuples at each time are pinned."""
+    dm = DelayMeasure.uniform(0.5, 3)
+    return ModelSpec(
+        name="timed", drift=lambda t, x, mu: (t - 1.0) * x + t * mu.mean,
+        path_drift=lambda t, seg, mu: (1.0 - 0.5 * t) * seg.integral_against(dm) + t * mu.mean,
+        sigma=lambda t, x: (1.0 + t) * np.sqrt(np.abs(x)),
+        K_b=1.0, K_B=1.0, K_sigma=2.0, alpha=0.5, delay_measure=dm)
+
+
+AUDITED = {
+    "linear": make_linear_model,
+    "sqrt": make_sqrt_model,
+    "delay": make_delay_model,
+    "delay-uniform-8": lambda: make_delay_model(m="uniform", atoms=8),
+    "sqrt-alpha-1": lambda: make_sqrt_model(alpha=1.0),
+    "timed": timed_model,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, SEED])
+@pytest.mark.parametrize("label", AUDITED)
+def test_assumption_report(label, seed):
+    rep = check_assumptions(AUDITED[label](), sample_count=2_000, seed=seed)
+    assert sha(repr(rep).encode()) == GOLDEN[f"audit.{label}.{seed}"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfchaos.measures import EmpiricalMeasure
-from mfchaos.model import (ModelSpec, check_assumptions, eval_drift,
+from mfchaos.model import (ModelError, ModelSpec, check_assumptions, eval_drift,
                            eval_path_drift, eval_sigma, make_delay_model,
                            make_linear_model, make_model, make_sqrt_model)
 from mfchaos.paths import DelayMeasure, SegmentBatch
@@ -116,6 +116,55 @@ class TestCheckAssumptions:
         rep = check_assumptions(mdl, sample_count=400, seed=6)
         assert rep.all_ok
         assert 0.0 < rep.K_B_hat <= 1.0 + rep.tol
+
+    @pytest.mark.parametrize("sample_count", [7, 2_000])
+    def test_each_coefficient_is_called_once_per_audit_time_on_a_stack(self, sample_count):
+        # an audit time's tuples reach each coefficient as a run's stack does:
+        # (K, 1) states, a stacked measure and a (K, 1, width) batch, however
+        # many tuples there are; the zero-point bounds add one-element calls
+        dm = DelayMeasure.uniform(1.0, 4)
+        calls = {"drift": [], "path": [], "sigma": []}
+
+        def drift(t, x, mu):
+            calls["drift"].append((x.shape, np.shape(mu.mean)))
+            return -x
+
+        def path_drift(t, seg, mu):
+            calls["path"].append((seg.current.shape, seg.width, np.shape(mu.mean)))
+            return seg.integral_against(dm)
+
+        def sigma(t, x):
+            calls["sigma"].append(x.shape)
+            return np.ones_like(x)
+
+        mdl = ModelSpec(name="spy", drift=drift, path_drift=path_drift, sigma=sigma,
+                        K_b=0.0, K_B=1.0, K_sigma=1.0, alpha=1.0, delay_measure=dm)
+        check_assumptions(mdl, sample_count=sample_count, seed=0)
+        assert all(len(c) <= 3 * 11 for c in calls.values())
+        # the zero-point bounds: one element and a one-particle batch at each audit time
+        zero_point = ((1,), 17, ())
+        assert calls["sigma"].count((1,)) == calls["path"].count(zero_point) == 11
+        sigma = [x for x in calls["sigma"] if x != (1,)]
+        path = [c for c in calls["path"] if c != zero_point]
+        assert all(x == mean == (x[0], 1) for x, mean in calls["drift"])
+        assert all(x == (x[0], 1) for x in sigma)
+        assert all(x == mean == (x[0], 1) and width == 17 for x, width, mean in path)
+        # every tuple at x and at y; the path drift at every 4th
+        assert sum(x[0] for x, _ in calls["drift"]) == sum(x[0] for x in sigma) == 2 * sample_count
+        assert sum(x[0] for x, _, _ in path) == 2 * len(range(0, sample_count, 4))
+
+    @pytest.mark.parametrize("bad", ["drift", "path drift", "sigma"])
+    def test_a_non_finite_coefficient_is_named(self, bad):
+        # a stack holding one non-finite value still names its coefficient
+        def value(name, x):
+            return np.where(np.abs(x) > 2.5, np.nan, 0.0) if name == bad else np.zeros_like(x)
+
+        mdl = ModelSpec(name="nan", drift=lambda t, x, mu: value("drift", x),
+                        path_drift=lambda t, seg, mu: value("path drift", seg.current),
+                        sigma=lambda t, x: value("sigma", x), K_b=0.0, K_B=0.0, K_sigma=0.0,
+                        alpha=1.0, delay_measure=DelayMeasure.uniform(1.0, 4))
+        with pytest.raises(ModelError, match=f"^{bad} returned a non-finite value"):
+            check_assumptions(mdl, sample_count=200, seed=0)
 
     @pytest.mark.parametrize("seed", [0, 1, 20260810])
     @pytest.mark.parametrize("name, params", [("linear", {}), ("sqrt", {}), ("delay", {}),
