@@ -4,8 +4,8 @@ The headline experiment runs the interacting system at several ensemble
 sizes against a fixed reference flow (an oracle mean-flow construction for
 the built-in models, or a solved fixed point otherwise), averages the
 sup-in-time W1 error over replicas, and fits a log-log slope to compare
-with the theoretical exponent min(1/2, (p-1)/p). Every run also records
-the synchronous-coupling quantities, so the exact per-run triangle
+with min(1/2, (p-1)/p), p the initial law's moment order. Every run also
+records the synchronous-coupling quantities, so the exact per-run triangle
 inequality through the i.i.d.-copies empirical measure is checked for free.
 
 Every experiment steps stacks through the engine's one loop (all replicas
@@ -36,16 +36,15 @@ _REF_STREAM = 7   # sub-seed label for reference-flow construction
 
 
 def theoretical_exponent(p: float) -> float:
-    """Dominant decay exponent min(1/2, (p-1)/p) of the chaos rate.
-
-    p = 2 sits outside the supported moment cases and is rejected rather
-    than interpolated.
+    """min(1/2, (p-1)/p), the chaos rate's decay exponent for an initial law
+    of moment order p (Fournier and Guillin, d = 1); 1/2 at p = inf. p = 2
+    sits outside the supported moment cases and is rejected, not interpolated.
     """
     if not (p > 1):
         raise ValueError(f"moment order must exceed 1, got {p!r}")
     if p == 2:
         raise ValueError("moment order 2 is excluded; pick p on either side")
-    return min(0.5, (p - 1.0) / p)
+    return 0.5 if p == np.inf else min(0.5, (p - 1.0) / p)
 
 
 def fit_loglog(xs, ys) -> tuple[float, float, float]:
@@ -328,12 +327,13 @@ def _mean_stderr(per_n) -> tuple[np.ndarray, np.ndarray]:
 def estimate_chaos_rate(config_base: SimConfig, model: ModelSpec, N_list, replicas: int,
                         reference: MeasureFlow, workers: int = 1) -> RateReport:
     """Sweep N, average sup-t W1 against the reference over replicas, fit
-    the log-log rate. Seeds derive from (config seed, N, replica), so the
-    report is reproducible and independent of the worker count."""
+    the log-log rate. The exponent is read from the reference's initial law
+    first, so a moment order it excludes is rejected unstepped. Seeds derive
+    from (config seed, N, replica): reproducible whatever the worker count."""
     N_list = [int(n) for n in N_list]
     if len(N_list) < 3:
         raise ValueError("need at least three ensemble sizes to fit a rate")
-    theoretical = theoretical_exponent(model.moment_order)   # a bad p is rejected unstepped
+    theoretical = theoretical_exponent(reference.initial_law.moment_order)
     runs = _coupled_sweep(config_base, model, reference, N_list, replicas, workers)
     means, stderrs = _mean_stderr([[d.w1_sup for d in runs if d.N == n] for n in N_list])
     slope, intercept, sst = fit_loglog(N_list, means)

@@ -44,7 +44,6 @@ _DEFAULTS: dict[str, str] = {
     "seed": "0",
     "out": ".",
     "model.name": "linear",
-    "model.p": "4.0",
     "init.name": "gaussian",
     "sim.T": "1.0",
     "sim.dt": "0.01",
@@ -55,7 +54,6 @@ _DEFAULTS: dict[str, str] = {
     "chaos.replicas": "20",
     "chaos.times": "0.5,1.0",
     "solve.M": "10000",
-    "solve.tol": "1e-3",
     "solve.max_iter": "25",
     "yamada.epsilon": "0.05,0.1,0.3",
     "yamada.n_list": "4,16,64,256",
@@ -64,7 +62,7 @@ _DEFAULTS: dict[str, str] = {
 }
 
 # keys that are accepted but have no default (absent unless set)
-_OPTIONAL = {"chaos.M", "chaos.bin_width", "solve.lambda"}
+_OPTIONAL = {"chaos.M", "chaos.bin_width", "solve.lambda", "solve.tol"}
 
 
 def _factory_keys(prefix: str, table: dict) -> set[str]:
@@ -306,10 +304,10 @@ def _cmd_simulate(rc: RunConfig, art: ArtifactWriter) -> int:
 
 def _cmd_solve(rc: RunConfig, art: ArtifactWriter) -> int:
     cfg, mdl = _sim_and_model(rc)
-    lam = rc.get_float("solve.lambda") if rc.has("solve.lambda") else None
+    lam, tol = (rc.get_float(k) if rc.has(k) else None for k in ("solve.lambda", "solve.tol"))
     res = solver.solve_fixed_point(
-        cfg, mdl, rc.initial_law(), M=rc.get_int("solve.M"), lam=lam,
-        tol=rc.get_float("solve.tol"), max_iter=rc.get_count("solve.max_iter"))
+        cfg, mdl, rc.initial_law(), M=rc.get_int("solve.M"), lam=lam, tol=tol,
+        max_iter=rc.get_count("solve.max_iter"))
     res.flow.write_csv(art.path_for("flow.csv"))
     res.write_diagnostics_csv(art.path_for("diagnostics.csv"))
     if not res.converged:
@@ -327,6 +325,10 @@ def _reference(rc: RunConfig, cfg: SimConfig, mdl) -> solver.MeasureFlow:
 
 def _cmd_chaos_rate(rc: RunConfig, art: ArtifactWriter) -> int:
     cfg, mdl = _sim_and_model(rc)
+    try:   # the initial law's moment order; only pareto's, its tail, is finite
+        chaos.theoretical_exponent(rc.initial_law().moment_order)
+    except ValueError as e:
+        raise ConfigError(f"key 'init.tail': {e}") from e
     ref = _reference(rc, cfg, mdl)
     report = chaos.estimate_chaos_rate(cfg, mdl, rc.get_ints("chaos.N_list"),
                                        rc.get_int("chaos.replicas"), ref,

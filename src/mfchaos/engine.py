@@ -104,12 +104,13 @@ class SimConfig:
 
 
 # ---------------------------------------------------------------------------
-# initial laws
+# initial laws, each with the moment order p of `chaos.theoretical_exponent`
 
 
 @dataclass(frozen=True)
 class ConstantLaw:
     value: float = 1.0
+    moment_order = math.inf
 
     def __post_init__(self):
         if not np.isfinite(self.value):
@@ -127,6 +128,7 @@ class ConstantLaw:
 class GaussianLaw:
     mean: float = 1.0
     std: float = 0.5
+    moment_order = math.inf
 
     def __post_init__(self):
         if not np.isfinite(self.mean):
@@ -140,8 +142,8 @@ class GaussianLaw:
 
 @dataclass(frozen=True)
 class BoundedParetoLaw:
-    """Pareto tail truncated to [lo, hi]; every moment is finite, so any
-    declared moment order is honest while the near-tail stays heavy."""
+    """Pareto tail truncated to [lo, hi]. Its moment order is its tail, that
+    of the untruncated law, whose moments are finite below it only."""
 
     tail: float = 1.5
     lo: float = 0.5
@@ -171,6 +173,10 @@ class BoundedParetoLaw:
     @property
     def mean(self) -> float:
         return self.moment(1.0)
+
+    @property
+    def moment_order(self) -> float:
+        return self.tail
 
 
 INITIAL_LAWS = {"constant": ConstantLaw, "gaussian": GaussianLaw, "pareto": BoundedParetoLaw}

@@ -50,7 +50,8 @@ class ModelError(Exception):
 class ModelSpec:
     """Coefficients and declared constants; x is a float64 array, (N,) or a
     (K, N) stack, the segment a SegmentBatch, and mu.mean a float or a
-    (K, 1) column (see the module docstring)."""
+    (K, 1) column (see the module docstring). The initial data's moment
+    order is no constant of the model: the initial law states it."""
 
     name: str
     drift: Callable          # (t, x, mu[, out]) -> like x; out= optional (module docstring)
@@ -61,7 +62,6 @@ class ModelSpec:
     K_sigma: float
     alpha: float
     delay_measure: DelayMeasure
-    moment_order: float = 4.0         # declared p of the initial data
     sigma_sq_floor: float = 0.0       # declared ellipticity floor, 0 = none
 
     def __post_init__(self):
@@ -71,8 +71,6 @@ class ModelSpec:
             raise ValueError("K_B and K_sigma must be non-negative")
         if not np.isfinite([self.K_b, self.K_B, self.K_sigma]).all():
             raise ValueError("declared constants must be finite")
-        if not (self.moment_order > 1):
-            raise ValueError(f"moment order must exceed 1, got {self.moment_order!r}")
 
 
 def _checked(name, t, out):
@@ -107,7 +105,7 @@ def _constant(value: float, x, out=None):
 
 
 def make_linear_model(a: float = -1.0, c: float = 0.5, sigma0: float = 0.2,
-                      p: float = 4.0, alpha: float = 1.0) -> ModelSpec:
+                      alpha: float = 1.0) -> ModelSpec:
     """b = a*x + c*mean(mu), no path drift, constant diffusion."""
     def drift(t, x, mu, out=None):
         out = np.multiply(a, x, out=out)
@@ -123,14 +121,12 @@ def make_linear_model(a: float = -1.0, c: float = 0.5, sigma0: float = 0.2,
     return ModelSpec(
         name="linear", drift=drift, path_drift=path_drift, sigma=sigma,
         K_b=max(a, 0.0) + abs(c), K_B=0.0, K_sigma=abs(sigma0), alpha=alpha,
-        delay_measure=DelayMeasure.dirac(0.0), moment_order=p,
-        sigma_sq_floor=sigma0 ** 2,
+        delay_measure=DelayMeasure.dirac(0.0), sigma_sq_floor=sigma0 ** 2,
     )
 
 
 def make_sqrt_model(kappa: float = 1.0, theta: float = 1.0, c: float = 0.5,
-                    sigma0: float = 0.2, p: float = 4.0,
-                    alpha: float = 0.5) -> ModelSpec:
+                    sigma0: float = 0.2, alpha: float = 0.5) -> ModelSpec:
     """Mean-reverting drift with mean-field coupling and sigma0*sqrt(|x|) diffusion.
 
     The diffusion is evaluated at |x| exactly as written, so the state is
@@ -154,12 +150,12 @@ def make_sqrt_model(kappa: float = 1.0, theta: float = 1.0, c: float = 0.5,
     return ModelSpec(
         name="sqrt", drift=drift, path_drift=path_drift, sigma=sigma,
         K_b=max(-kappa, abs(c)), K_B=0.0, K_sigma=abs(sigma0), alpha=alpha,
-        delay_measure=DelayMeasure.dirac(0.0), moment_order=p,
+        delay_measure=DelayMeasure.dirac(0.0),
     )
 
 
 def make_delay_model(beta: float = 1.0, r: float = 1.0, a: float = 0.0,
-                     sigma0: float = 0.0, p: float = 4.0, alpha: float = 1.0,
+                     sigma0: float = 0.0, alpha: float = 1.0,
                      m: str = "dirac", atoms: int = 8) -> ModelSpec:
     """b = a*x and path drift beta * integral of the segment against m.
 
@@ -187,7 +183,7 @@ def make_delay_model(beta: float = 1.0, r: float = 1.0, a: float = 0.0,
     return ModelSpec(
         name="delay", drift=drift, path_drift=path_drift, sigma=sigma,
         K_b=max(a, 0.0), K_B=abs(beta), K_sigma=abs(sigma0), alpha=alpha,
-        delay_measure=dm, moment_order=p, sigma_sq_floor=sigma0 ** 2,
+        delay_measure=dm, sigma_sq_floor=sigma0 ** 2,
     )
 
 

@@ -21,6 +21,7 @@ which binds the same `ndtri`.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import sys
@@ -67,33 +68,27 @@ def derive_seed(*ids: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# one generator per (seed, stream) and thread, rewound to each step's counter block
-_kept = threading.local()
-_KEPT_MAX = 1024
+@functools.lru_cache(maxsize=1024)
+def _key(seed: int, stream: int) -> tuple[int, int]:
+    """Philox's key for (seed, stream); a tuple, as every caller shares it."""
+    key = np.random.SeedSequence(entropy=(seed, stream)).generate_state(2, np.uint64)
+    return tuple(key.tolist())
+
+
+_local = threading.local()   # one Philox Generator per thread, re-keyed on every call
 
 
 def _philox(seed: int, stream: int, step: int) -> np.random.Generator:
-    kept = getattr(_kept, "generators", None)
-    if kept is None:
-        kept = _kept.generators = {}
-    ident = (int(seed), int(stream))
-    entry = kept.get(ident)
-    if entry is None:
-        if len(kept) >= _KEPT_MAX:
-            del kept[next(iter(kept))]   # the oldest entry
-        key = np.random.SeedSequence(entropy=ident).generate_state(2, np.uint64)
-        bg = np.random.Philox(key=key)
-        entry = kept[ident] = (np.random.Generator(bg), bg, bg.state)
-    gen, bg, state = entry
+    if not hasattr(_local, "gen"):
+        _local.gen = np.random.Generator(np.random.Philox(0))
     # Each step owns a disjoint 2^64-block slice of the counter space: the
     # counter is [0, step, 0, 0] with an empty output buffer, exactly as a
     # new Philox(key=key, counter=step << 64) starts.
-    state["state"]["counter"][:] = (0, int(step), 0, 0)
-    state["buffer_pos"] = 4
-    state["has_uint32"] = 0
-    state["uinteger"] = 0
-    bg.state = state
-    return gen
+    _local.gen.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": [0, int(step), 0, 0],
+                                             "key": _key(int(seed), int(stream))},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return _local.gen
 
 
 def uniforms(seed: int, stream: int, step: int, n: int, out=None) -> np.ndarray:

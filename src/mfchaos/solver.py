@@ -218,17 +218,17 @@ class FixedPointResult:
 
 
 def solve_fixed_point(config: SimConfig, model: ModelSpec, initial_law, M: int,
-                      lam: float | None = None, tol: float = 1e-3,
+                      lam: float | None = None, tol: float | None = None,
                       max_iter: int = 25) -> FixedPointResult:
     """Iterate the frozen-flow map from the initial-law constant flow.
 
-    Stops when the weighted distance between successive iterates falls
-    under tol, or when it plateaus within twice the measured noise floor
-    for three consecutive iterations (the Monte Carlo resolution limit).
-    The floor is measured directly: the map is applied twice to the same
-    flow with independent sub-seeds and the distance of the two outputs is
-    the floor. Non-convergence is reported in the result, never silent.
-    Every iteration draws fresh noise.
+    Stops when the weighted distance between successive iterates plateaus
+    within twice the measured noise floor for three consecutive iterations
+    (the Monte Carlo resolution limit), falls under tol if one is set, or
+    after max_iter. The floor is measured directly: the map is applied twice
+    to the same flow with independent sub-seeds, and a tol set below the
+    distance of the two outputs warns. Non-convergence is reported in the
+    result, never silent. Every iteration draws fresh noise.
     """
     lam = default_lambda(model) if lam is None else float(lam)
     init_samples = initial_law.sample(rng.derive_seed(config.seed, _PICARD, 0), M)
@@ -240,7 +240,7 @@ def solve_fixed_point(config: SimConfig, model: ModelSpec, initial_law, M: int,
     probe_a = apply_phi(config, model, flow, M, sub_seed(0))
     probe_b = apply_phi(config, model, flow, M, rng.derive_seed(config.seed, _PICARD_PROBE, 0))
     noise_floor = rho_metric(probe_a, probe_b, lam)
-    if tol < noise_floor:
+    if tol is not None and tol < noise_floor:
         warnings.warn(
             f"tol={tol:g} is below the measured Monte Carlo noise floor "
             f"{noise_floor:g} at M={M}; the plateau rule will govern stopping")
@@ -252,7 +252,7 @@ def solve_fixed_point(config: SimConfig, model: ModelSpec, initial_law, M: int,
         r = rho_metric(flow, new, lam)
         rhos.append(r)
         flow = new
-        if r < tol:
+        if tol is not None and r < tol:
             return FixedPointResult(flow, rhos, True, "tol", noise_floor, lam)
         plateau = plateau + 1 if r <= 2.0 * noise_floor else 0
         if plateau >= 3:

@@ -43,6 +43,9 @@ class TestTheoreticalExponent:
     def test_limit_is_half(self):
         assert theoretical_exponent(1e12) == pytest.approx(0.5)
 
+    def test_every_moment_finite_gives_half(self):
+        assert theoretical_exponent(np.inf) == 0.5
+
     def test_rejects_p_at_most_one_and_two(self):
         for bad in (0.5, 1.0, 2.0):
             with pytest.raises(ValueError):
@@ -53,10 +56,20 @@ class TestTheoreticalExponent:
             raise AssertionError("a run was stepped")
 
         monkeypatch.setattr(chaos, "_coupled_sweep", sweep)
-        mdl = make_linear_model(p=2.0)
-        ref = build_reference_flow(CFG, mdl, GAUSS, M=64)   # stepped only when read
+        mdl = make_linear_model()
+        law = engine.BoundedParetoLaw(tail=2.0)
+        ref = build_reference_flow(CFG, mdl, law, M=64)   # stepped only when read
         with pytest.raises(ValueError, match="moment order 2"):
             estimate_chaos_rate(CFG, mdl, N_SMALL, 2, ref)
+
+    @pytest.mark.parametrize("law, exponent", [(engine.BoundedParetoLaw(tail=1.5), 1 / 3),
+                                               (GAUSS, 0.5), (ConstantLaw(1.0), 0.5)],
+                             ids=["pareto", "gaussian", "constant"])
+    def test_sweep_exponent_follows_the_reference_law(self, law, exponent):
+        cfg = SimConfig(T=0.1, dt=0.02, N=8, seed=555)
+        mdl = make_linear_model()
+        ref = build_reference_flow(cfg, mdl, law, M=256)
+        assert estimate_chaos_rate(cfg, mdl, [8, 16, 32], 2, ref).theoretical == exponent
 
 
 class TestFitLoglog:
@@ -595,7 +608,7 @@ class TestStreamedReference:
                     estimate_chaos_rate(cfg, GROWS, [8, 16, 32], 2, ref, workers=workers)
                 assert (swept.value.step, swept.value.particle) == \
                     (alone[16].step, alone[16].particle)
-            monkeypatch.setitem(model.MODEL_ZOO, "linear", lambda p=4.0: GROWS)
+            monkeypatch.setitem(model.MODEL_ZOO, "linear", lambda: GROWS)
             out = tmp_path / "o"
             code = cli.main(["chaos-rate", "--seed", "9", "--set", "sim.T=0.5",
                              "--set", "chaos.N_list=8,16,32", "--set", "chaos.replicas=2",

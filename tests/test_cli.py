@@ -24,9 +24,10 @@ TINY = ("--set", "sim.T=0.1", "--set", "sim.dt=0.01", "--set", "sim.N=8",
 BAD_INPUT = {
     "one-replica": ("chaos-rate", "--set", "chaos.replicas=1"),
     "decreasing-N_list": ("chaos-rate", "--set", "chaos.N_list=32,16,8"),
-    # a moment order the rate fit excludes, rejected before any N is stepped
-    "chaos-rate-moment-order-two": ("chaos-rate", "--set", "model.p=2",
-                                    "--set", "chaos.N_list=64,128,256,512"),
+    # an initial law whose moment order, its tail, the rate fit excludes,
+    # rejected before any N is stepped
+    "chaos-rate-moment-order-two": ("chaos-rate", "--set", "init.name=pareto",
+                                    "--set", "init.tail=2"),
     "coupling-one-replica": ("coupling", "--set", "chaos.replicas=1"),
     "coupling-repeated-N": ("coupling", "--set", "chaos.N_list=8,8"),
     # the study time is on the grid, so only the repeat can be rejected
@@ -75,6 +76,7 @@ BAD_INPUT = {
 
 # cases of BAD_INPUT whose one config error line names the key at fault
 NAMED_KEY = {
+    "chaos-rate-moment-order-two": "init.tail",
     "check-assumptions-negative-samples": "check.samples",
     "chaos-zero-reference": "chaos.M",
     "coupling-negative-reference": "chaos.M",
@@ -173,6 +175,11 @@ class TestExitCodes:
 
     def test_unknown_model_is_two(self, tmp_path):
         assert run_cli("simulate", "--set", "model.name=zebra", "--out", str(tmp_path)) == 2
+
+    def test_moment_order_is_no_model_key(self, tmp_path, capsys):
+        # the rate's moment order is the initial law's; no model declares one
+        assert run_cli("chaos-rate", *TINY, "--set", "model.p=4", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == "config error: unknown key 'model.p'\n"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blowup_is_three(self, tmp_path):
@@ -410,8 +417,8 @@ class TestArtifacts:
         assert (tmp_path / "cli" / "record.csv").read_bytes() == \
             (tmp_path / "lib.csv").read_bytes()
 
-    @pytest.mark.parametrize("line", ["sim.r = 0.2", "solve.common_noise = 0"],
-                             ids=["sim.r", "solve.common_noise"])
+    @pytest.mark.parametrize("line", ["sim.r = 0.2", "solve.common_noise = 0", "model.p = 4.0"],
+                             ids=["sim.r", "solve.common_noise", "model.p"])
     def test_manifest_with_a_removed_key_exits_two(self, tmp_path, capsys, line):
         old = tmp_path / "old_manifest.txt"
         old.write_text(f"subcommand = simulate\n{line}\n")
@@ -464,6 +471,16 @@ with tempfile.TemporaryDirectory() as out:
         assert mfchaos.cli.main(args) == 0, args
 print(sorted(set(sys.modules) - before))
 """
+
+
+def test_default_solve_writes_nothing_to_stderr(tmp_path):
+    # no tolerance is set, so none lies below the noise floor to warn of
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-m", "mfchaos.cli", "solve", "--out", str(tmp_path)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_a_run_imports_nothing_the_cli_import_did_not():

@@ -19,7 +19,6 @@ out. A change that alters any digest on purpose must say why in CHANGES.md.
 """
 
 import hashlib
-import warnings
 
 import numpy as np
 import pytest
@@ -259,11 +258,10 @@ def test_step_interacting_by_hand():
     assert sha(np.array(states).tobytes()) == GOLDEN["step_interacting"]
 
 
+@pytest.mark.filterwarnings("error::UserWarning")
 def test_picard_solve(tmp_path):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # tol sits below the noise floor at M=64
-        res = solve_fixed_point(CFG, make_linear_model(), GaussianLaw(1.0, 0.5), M=64,
-                                max_iter=3)
+    # no tolerance is set, so the solve has none below the noise floor to warn of
+    res = solve_fixed_point(CFG, make_linear_model(), GaussianLaw(1.0, 0.5), M=64, max_iter=3)
     assert sha(res.flow.values.tobytes()) == GOLDEN["solve.flow"]
     assert sha(np.array(res.rhos + [res.noise_floor]).tobytes()) == GOLDEN["solve.rhos"]
     res.flow.write_csv(tmp_path / "flow.csv")

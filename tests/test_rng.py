@@ -1,4 +1,4 @@
-"""The kept Philox generators against generators built fresh for every call."""
+"""The per-thread, re-keyed Philox generator against generators built fresh for every call."""
 
 import os
 import random
@@ -71,9 +71,10 @@ def test_threads_keep_their_own_generators():
 
 
 def test_cache_stays_bounded_and_exact():
-    for seed in range(rng._KEPT_MAX + 10):
+    size = rng._key.cache_info().maxsize
+    for seed in range(size + 10):
         rng.uniforms(seed, 5, 0, 1)
-    assert len(rng._kept.generators) <= rng._KEPT_MAX
+    assert rng._key.cache_info().currsize <= size
     assert rng.normals(0, 5, 3, 16).tobytes() == fresh_normals(0, 5, 3, 16).tobytes()
 
 

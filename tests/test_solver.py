@@ -138,7 +138,6 @@ class TestSolveFixedPoint:
         rel = abs(res.flow.means[-1] - oracle.means[-1]) / abs(oracle.means[-1])
         assert rel < 0.02
 
-    @pytest.mark.filterwarnings("ignore:tol=")
     def test_sqrt_model_mean_matches_rk4_oracle(self):
         # mean ODE m' = kappa*theta + (c - kappa) m, solved by RK4 at fine step
         kappa, theta, c = 1.0, 1.0, 0.5
@@ -157,7 +156,6 @@ class TestSolveFixedPoint:
             m += h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
         assert abs(res.flow.means[-1] - m) / abs(m) < 0.02
 
-    @pytest.mark.filterwarnings("ignore:tol=")
     def test_self_consistency_residual(self):
         mdl = make_linear_model()
         cfg = SimConfig(T=1.0, dt=0.02, N=4, seed=29)
@@ -181,7 +179,6 @@ class TestSolveFixedPoint:
         with pytest.warns(UserWarning, match="noise floor"):
             solve_fixed_point(cfg, mdl, GAUSS, M=32, tol=1e-9, max_iter=6)
 
-    @pytest.mark.filterwarnings("ignore:tol=")
     def test_agreement_with_large_interacting_run(self):
         # the fixed point IS the mean-field limit: an interacting run at
         # N = M stays within a few chaos-scale W1 units of the solved flow
