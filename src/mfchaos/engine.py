@@ -23,30 +23,33 @@ changes a bit. A step allocates no particle-sized array: the coefficients
 are written into memory the run already holds (see `_step`), through the
 optional `out=` of a coefficient that takes one.
 
-A step's sorted state, its update and its draw live only while it runs,
-so they are views, taken at each step, of a workspace's buffers (one per
-role, grown to the largest run that takes it). A run has a workspace of its
-own, unless it is a lazy run made inside `shared_workspace()`: the runs of
-one such block, which step one after another on one thread, as a sweep's
-share does, share one, and the block holds one buffer per role however many
-runs it steps. Between its steps a run keeps only its ring buffer and,
-where it draws ahead, its own draw buffers.
+A step's sorted state, its update and an in-step draw live only while it
+runs, so they are views, taken at each step, of a workspace's buffers (one
+per role, grown to the largest run that takes it). A stepping block has one
+workspace: a lazy run made inside `shared_workspace()` belongs to that
+block, whose runs step in lockstep on one thread, as a sweep's share does,
+and any other run is a block of its own. Between its steps a run keeps
+only its ring buffer.
 
-`_run` steps on the caller's thread. Where one step draws at least
-`_AHEAD_MIN` values, counted over the distinct seeds of a stack, it draws
-step k+1's increments on one helper thread while step k runs: `simulate` at
-large N, the reference build and the rate sweep's largest stacks. The
-helper fills one of two buffers of the run's own, which the caller
-allocated, lives only as long as the call, and since a draw is a pure
-function of (seed, stream, step), the thread it runs on changes no bit.
+`_run` steps on the caller's thread. Where a block's draw per grid time,
+summed over its runs' distinct seeds, reaches `_AHEAD_MIN` values, one
+forked drawer process (`_Drawer`) makes every draw after the first grid
+time, ahead of the step that reads it, into a mapping it shares with the
+block, and the steps read their draws there in place: `simulate` at large N, a frozen
+flow of at least 2^15 paths read on its own, and a rate sweep's share with
+its reference. Since a draw is a pure function of (seed, stream, step), the
+process that makes it changes no bit.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+import mmap
+import os
+import signal
+import threading
+from contextlib import closing, contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
@@ -196,23 +199,27 @@ class ParticleEnsemble:
     """
 
     def __init__(self, r: float, dt: float, init_values: np.ndarray, stacked: bool = False):
-        if not (np.isfinite(r) and r >= 0):
-            raise ValueError(f"r must be finite and >= 0, got {r!r}")
         init_values = np.asarray(init_values, dtype=float)
         lead = 2 if stacked else 1
-        width = (_ratio_as_int(r, dt, "delay") if r > 0 else 0) + 1
+        self._allocate(r, dt, init_values.shape[:lead])
+        width = self.buf.shape[-1]
         if init_values.ndim not in (lead, lead + 1):
             raise ValueError(f"initial values must have {lead} or {lead + 1} dimensions")
         if init_values.ndim == lead + 1 and init_values.shape[-1] != width:
             raise ValueError(f"a window over [-{r}, 0] at dt={dt} holds {width} values, "
                              f"got {init_values.shape[-1]}")
-        if not np.isfinite(init_values).all():
-            raise ValueError("initial ensemble values must be finite")
+        _check_finite(init_values)
+        # one copy, never the caller's array; a current value fills its whole window
+        self.buf[...] = init_values if init_values.ndim == lead + 1 else init_values[..., None]
+
+    def _allocate(self, r: float, dt: float, shape) -> None:
+        """Unwritten windows over [-r, 0] for values of the given shape."""
+        if not (np.isfinite(r) and r >= 0):
+            raise ValueError(f"r must be finite and >= 0, got {r!r}")
         self.r = float(r)
         self.dt = float(dt)
-        # one copy, never the caller's array; a current value fills its whole window
-        self.buf = np.empty(init_values.shape[:lead] + (width,))
-        self.buf[...] = init_values if init_values.ndim == lead + 1 else init_values[..., None]
+        width = (_ratio_as_int(r, dt, "delay") if r > 0 else 0) + 1
+        self.buf = np.empty(tuple(shape) + (width,))
         self.head = 0
         self.step_index = 0
 
@@ -238,17 +245,31 @@ class ParticleEnsemble:
                  seed=None) -> "ParticleEnsemble":
         """config.N values drawn from the law with `seed` (config.seed by default),
         on the window of the model's delay measure; a list of seeds gives a stack
-        with one row per seed, each drawn on its own."""
+        with one row per seed. A stack's rows are written straight into its
+        windows, and a seed's row is drawn once and copied to every later row
+        with that seed, as a coupled stack's twins are."""
         if initial_law is None:
             raise EngineError("no initial law to draw the ensemble from")
         seed = config.seed if seed is None else seed
         r = model.delay_measure.span
         if np.ndim(seed) == 0:
             return cls(r, config.dt, initial_law.sample(seed, config.N))
-        rows = np.empty((len(seed), config.N))
-        for row, s in zip(rows, seed):
-            row[:] = initial_law.sample(s, config.N)
-        return cls(r, config.dt, rows, stacked=True)
+        ens = cls.__new__(cls)
+        ens._allocate(r, config.dt, (len(seed), config.N))
+        first = {}
+        for i, s in enumerate(seed):
+            if s in first:
+                ens.buf[i] = ens.buf[first[s]]
+            else:
+                first[s] = i
+                ens.buf[i] = _check_finite(initial_law.sample(s, config.N))[:, None]
+        return ens
+
+
+def _check_finite(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ValueError("initial ensemble values must be finite")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -429,30 +450,204 @@ def _check_fit(flow, config: SimConfig) -> None:
         raise EngineError("measure flow grid does not match the simulation grid")
 
 
-# Steps that draw at least this many values, over a stack's distinct seeds,
-# are drawn ahead on `_run`'s helper thread. Overlapping the rate sweep costs
-# CPU time, since its two threads hand the interpreter lock back and forth
-# around every draw: its stacks of 20 seeds up to N = 1024 (at most 20,480
-# values per step) lost wall time too when overlapped, while from N = 2048
-# (40,960) on, and in the reference build and sim-sqrt, wall time fell. It
-# picks only where a draw runs, never what it holds.
+# A block whose draw per grid time, summed over its runs' distinct seeds,
+# reaches this many values forks a drawer (`_Workspace.draw`). The drawer
+# costs a fork (some 2 ms for a 50 MiB process) and two pipe bytes per draw
+# (some 5 us a round trip), against a draw of 2^15 values that takes about
+# 1 ms. It picks only where a draw runs, never what it holds.
 _AHEAD_MIN = 1 << 15
 
 
+@dataclass(eq=False)
+class _Draws:
+    """What one run draws: each step, `_increments` of its seeds into an
+    array of the given shape, for steps up to end - 1."""
+
+    seeds: object
+    shape: tuple
+    end: int
+
+
+# Every pipe end any live drawer's block holds, whatever thread steps it: a
+# drawer closes all but its own two, so that another block's drawer sees
+# end-of-file once that block closes its ends. The lock is held from a
+# block's making its pipes through its fork.
+_PIPES: set[int] = set()
+_PIPES_LOCK = threading.Lock()
+
+
+class _Drawer:
+    """A forked process that draws a block's increments ahead of its steps.
+
+    The arena, an anonymous mapping shared with the drawer, holds fixed rows
+    for every run of the plan: one slot per run in a block of several runs,
+    where the other runs' steps overlap a run's next draw, and two for a
+    block of one run, whose next draw overlaps its own step. The drawer makes
+    the block's draws (`_increments`) in the order the block steps them, from
+    grid time `first` on: grid time by grid time, each in plan order. It
+    writes one byte to `ready` once a draw is made, and before it overwrites
+    a slot it reads one byte from `free`, which the block writes once the step
+    that read the slot is done (`release`). The steps read their draws in
+    place, through views the block cannot write.
+
+    The drawer's body always ends in `os._exit`; it exits once its last draw
+    is made, or at end-of-file or a broken pipe, so a killed block leaves no
+    drawer behind. It touches only the arena, its two pipe ends and its own
+    thread's generator (`rng`), so it may be forked from one of a sweep's
+    worker threads while another steps.
+    """
+
+    def __init__(self, plan: list, first: int):
+        self.plan, self.first = plan, first
+        self.last = max(d.end for d in plan) - 1
+        self.depth = 2 if len(plan) == 1 else 1
+        self._pending = self._order()
+        self._next = next(self._pending)   # the next draw the block takes
+        size = self.depth * sum(math.prod(d.shape) for d in plan)
+        arena = np.frombuffer(mmap.mmap(-1, 8 * size))
+        arena.fill(0.0)   # touched here, so that no step faults its pages in
+        with _PIPES_LOCK:
+            self._ready, ready = os.pipe()
+            free, self._free = os.pipe()
+            _PIPES.update((self._ready, ready, free, self._free))
+            try:
+                self.pid = os.fork()
+            except OSError:
+                self._close(ready, free, self._ready, self._free)
+                raise
+            if self.pid == 0:
+                status = 1
+                try:
+                    for fd in _PIPES - {ready, free}:
+                        os.close(fd)
+                    self._draw(self._slots(arena), ready, free)
+                    status = 0
+                except BrokenPipeError:
+                    status = 0
+                finally:
+                    os._exit(status)
+            self._close(ready, free)
+        arena.flags.writeable = False
+        self.slots = self._slots(arena)
+
+    def _slots(self, arena: np.ndarray) -> dict:
+        """Each run's `depth` slots, as views of the arena."""
+        slots, at = {}, 0
+        for d in self.plan:
+            n = math.prod(d.shape)
+            slots[d] = [arena[at + i * n:at + (i + 1) * n].reshape(d.shape)
+                        for i in range(self.depth)]
+            at += self.depth * n
+        return slots
+
+    def _order(self):
+        """Every draw of the plan from grid time `first` on, as (k, plan
+        index), in the order the block steps them."""
+        for k in range(self.first, self.last + 1):
+            for i, d in enumerate(self.plan):
+                if k < d.end:
+                    yield k, i
+
+    def _draw(self, slots, ready, free):
+        """The drawer's loop, run in the forked process."""
+        for k, i in self._order():
+            if k >= self.first + self.depth and not os.read(free, 1):
+                return   # end-of-file: the block is gone
+            d = self.plan[i]
+            _increments(d.seeds, k, slots[d][k % self.depth])
+            os.write(ready, b"\0")
+
+    def read(self, run: _Draws, k: int) -> np.ndarray:
+        """Step k's draw of the run, once the drawer has made it. The block's
+        runs must step in the drawer's order; the draws of a run that has
+        stopped stepping are taken and released unread."""
+        at = (k, self.plan.index(run)) if run in self.slots else None
+        while at is not None and self._next is not None and self._next <= at:
+            taken, self._next = self._next, next(self._pending, None)
+            if not os.read(self._ready, 1):
+                raise EngineError(f"the block's drawer ended before grid time {k}")
+            if taken == at:
+                return self.slots[run][k % self.depth]
+            self.release(self.plan[taken[1]], taken[0])
+        raise EngineError("the runs of a block must step in lockstep, each "
+                          "taking its first step before any takes its second")
+
+    def release(self, run: _Draws, k: int) -> None:
+        """The step that read the run's draw of grid time k is done: its slot
+        may take the run's draw of grid time k + depth."""
+        if self.first <= k and k + self.depth < run.end:
+            try:
+                os.write(self._free, b"\0")
+            except BrokenPipeError:
+                pass   # the drawer is gone; the next read says so
+
+    @staticmethod
+    def _close(*fds):
+        for fd in fds:
+            _PIPES.discard(fd)
+            os.close(fd)
+
+    def close(self) -> None:
+        """Close the block's pipe ends, kill the drawer if it still runs, and
+        reap it."""
+        with _PIPES_LOCK:
+            self._close(self._ready, self._free)
+        if os.waitpid(self.pid, os.WNOHANG)[0] == 0:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+
+
 class _Workspace:
-    """Step buffers by role, each grown to the largest run that takes it.
-    `take` hands out a view at the front of a role's buffer, so a view is
-    good only until the next step of any run that takes from it."""
+    """A stepping block's step buffers by role, each grown to the largest run
+    that takes it, and its draws. `take` hands out a view at the front of a
+    role's buffer, so a view is good only until the next step of any run
+    that takes from it.
+
+    `draw` registers each run at its first step, which draws in step. At the
+    block's first request for a run's second step every run has registered,
+    since the block's runs step in lockstep: if their draws per grid time sum
+    to at least _AHEAD_MIN values, a `_Drawer` then makes every later draw,
+    else every step draws in step. A step `release`s its draw when it is
+    done, and `close` ends the drawer."""
 
     def __init__(self):
         self._bufs = {}
+        self._plan = []
+        self._drawer = None   # a _Drawer, or False once the block draws in step
 
     def take(self, role: str, shape) -> np.ndarray:
         n = math.prod(shape)
         if role not in self._bufs or self._bufs[role].size < n:
             self._bufs.pop(role, None)   # the smaller buffer goes before the larger is made
-            self._bufs[role] = np.empty(n)
+            # the in-step draw's buffer is a mapping of its own, not a heap block
+            # that stays resident once freed: it goes back when a drawer takes over
+            self._bufs[role] = (np.frombuffer(mmap.mmap(-1, 8 * n)) if role == "draw"
+                                else np.empty(n))
         return self._bufs[role][:n].reshape(shape)
+
+    def draw(self, run: _Draws, k: int) -> np.ndarray:
+        """Step k's increments of the run, which no step may write."""
+        if self._drawer is None:
+            if run not in self._plan:
+                self._plan.append(run)
+            elif sum(math.prod(d.shape) for d in self._plan) >= _AHEAD_MIN:
+                self._bufs.pop("draw", None)   # no step draws in step again
+                self._drawer = _Drawer(self._plan, k)
+            else:
+                self._drawer = False
+        if self._drawer:
+            return self._drawer.read(run, k)
+        return _increments(run.seeds, k, self.take("draw", run.shape))
+
+    def release(self, run: _Draws, k: int) -> None:
+        """The run's step k is done with its draw."""
+        if self._drawer:
+            self._drawer.release(run, k)
+
+    def close(self) -> None:
+        if self._drawer:
+            self._drawer.close()
+        self._drawer = False
 
 
 _SHARED = ContextVar("_SHARED", default=None)
@@ -460,16 +655,21 @@ _SHARED = ContextVar("_SHARED", default=None)
 
 @contextmanager
 def shared_workspace():
-    """Within the block, every lazy run `_run` makes on this thread takes its
-    step buffers from one workspace, released when the block ends and its
-    runs are gone. The block's runs must be stepped on one thread, so that no
-    two steps overlap; an observer sees xs overwritten by the next step of
-    any of them."""
-    token = _SHARED.set(_Workspace())
+    """Within the block, every lazy run `_run` makes on this thread belongs to
+    one stepping block: it takes its step buffers from one workspace and its
+    draws from the block's one drawer, if it has one (`_Workspace.draw`). The
+    block's runs must step in lockstep on one thread: each takes its first
+    step before any takes its second, and each takes grid time k before any
+    takes k + 1, so that no two steps overlap; an observer sees xs
+    overwritten by the next step of any of them. When the block ends, its
+    drawer is ended and its buffers released."""
+    workspace = _Workspace()
+    token = _SHARED.set(workspace)
     try:
         yield
     finally:
         _SHARED.reset(token)
+        workspace.close()
 
 
 def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
@@ -492,15 +692,17 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
     a generator that takes one grid time per `next`. It observes grid time k
     and steps to k + 1, then yields; at the last grid time it observes and
     ends. So several runs can advance in step, each reading a flow at grid
-    time k only while it takes that step. Closing a stepper part way joins
-    its helper. A lazy run made inside `shared_workspace()` takes its step
-    buffers from that block's workspace; any other run has its own.
+    time k only while it takes that step. A lazy run made inside
+    `shared_workspace()` belongs to that block; any other run is a block of
+    its own, with its own workspace, and closing its stepper part way ends
+    its drawer.
 
-    Where one step draws at least _AHEAD_MIN values (distinct seeds times
-    particles), step k+1's increments are drawn on one helper thread while
-    step k runs; the helper is joined before the run ends or raises, and
-    draws no step beyond the last. A draw the helper has not started when
-    its step comes is taken back and made on the stepping thread.
+    A run draws its first step in step. Where its block draws at least
+    _AHEAD_MIN values per grid time (distinct seeds times particles, summed
+    over the block's runs), one forked drawer makes every later draw one grid
+    time ahead (`_Drawer`), and the step reads it in place; else each step
+    draws in step. The drawer draws no step beyond the last and is ended, and
+    reaped, when a lone run ends, is closed or raises, or when its block ends.
     """
     span = model.delay_measure.span   # atoms are read where declared, so all must fit
     if span > ensemble.r + 1e-12:
@@ -513,8 +715,9 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
     if observe is None:
         record = PathRecord.blank(config.times, ensemble.current.shape)
         observe = record.observe
-    workspace = (_SHARED.get() if lazy else None) or _Workspace()
-    stepper = _steps(config, model, ensemble, seeds, groups, observe, workspace)
+    shared = _SHARED.get() if lazy else None
+    stepper = _steps(config, model, ensemble, seeds, groups, observe, shared or _Workspace(),
+                     own=shared is None)
     if lazy:
         return stepper
     _drain(stepper)
@@ -522,12 +725,14 @@ def _run(config: SimConfig, model: ModelSpec, ensemble: ParticleEnsemble, seeds,
 
 
 def _drain(stepper):
-    """Step a lazy run to its end and return its result."""
-    while True:
-        try:
-            next(stepper)
-        except StopIteration as end:
-            return end.value
+    """Step a lazy run to its end and return its result; it is closed
+    however it ends."""
+    with closing(stepper):
+        while True:
+            try:
+                next(stepper)
+            except StopIteration as end:
+                return end.value
 
 
 def _sort_into(xs, x):
@@ -582,37 +787,30 @@ def _step(model, outs, ensemble, groups, observe, k, dt, z, workspace):
     ensemble.advance(new)
 
 
-def _steps(config, model, ensemble, seeds, groups, observe, workspace):
+def _steps(config, model, ensemble, seeds, groups, observe, workspace, own):
     """`_run`'s stepper: one grid time per `next`, each step drawing one row
-    per distinct seed (`_draw_rows`, resolved once per run)."""
+    per distinct seed (`_draw_rows`, resolved once per run) through the
+    workspace, which the run closes at its end where it is its own."""
     dt = config.dt
     k0 = ensemble.step_index
-    end = k0 + config.steps
     shape = ensemble.current.shape
     outs = (_takes_out(model.drift), _takes_out(model.sigma))   # each probed on its own
     seeds, groups = _draw_rows(seeds, groups)
-    zshape = shape if np.ndim(seeds) == 0 else (len(seeds), shape[-1])   # one row per seed
-    ahead = math.prod(zshape) >= _AHEAD_MIN
-    # drawing ahead, step k's increments land in zs[k % 2], the run's own: the
-    # helper fills the next step's while this step reads its own.
-    # They are allocated on this thread: arrays the helper allocated would
-    # grow its own malloc arena and the peak RSS with it
-    zs = [np.empty(zshape) for _ in range(2)] if ahead else None
-    with ThreadPoolExecutor(max_workers=1) if ahead else nullcontext() as helper:
-        drawn = None
-        for k in range(k0, end):
-            # a draw the helper never started is made here, into the same buffer:
-            # on a busy host the step does not wait for a thread that is not running
-            if drawn is not None and not drawn.cancel():
-                z = drawn.result()
-            else:
-                z = _increments(seeds, k, zs[k % 2] if ahead else workspace.take("draw", zshape))
-            if helper and k + 1 < end:
-                drawn = helper.submit(_increments, seeds, k + 1, zs[(k + 1) % 2])
-            _step(model, outs, ensemble, groups, observe, k, dt, z, workspace)
-            del z   # a view of the workspace lives no longer than its step
+    run = _Draws(seeds, shape if np.ndim(seeds) == 0 else (len(seeds), shape[-1]),
+                 k0 + config.steps)
+    try:
+        for k in range(k0, run.end):
+            z = workspace.draw(run, k)
+            try:
+                _step(model, outs, ensemble, groups, observe, k, dt, z, workspace)
+            finally:
+                del z   # a view of the workspace or the arena lives no longer than its step
+                workspace.release(run, k)   # a failed step's slot too: other runs step on
             yield k
-    _observe(observe, end, ensemble.current, workspace.take("sorted", shape))
+        _observe(observe, run.end, ensemble.current, workspace.take("sorted", shape))
+    finally:
+        if own:
+            workspace.close()
 
 
 def step_interacting(ensemble: ParticleEnsemble, model: ModelSpec, t: float,

@@ -130,10 +130,15 @@ class FrozenFlow(MeasureFlow):
         return self._values
 
     def rows(self):
+        """Each grid time's sorted row, from a lazy run stepped as they are read.
+        Read inside `engine.shared_workspace()`, as a sweep's share reads its
+        reference, the run belongs to that stepping block and draws through
+        its drawer; read elsewhere, it is a block of its own, whose drawer, if
+        it forks one, ends when the reader stops."""
         held = []
         run = simulate_frozen(*self._law, observe=lambda k, x, xs: held.append(xs.copy()),
                               lazy=True)
-        with closing(run):   # a reader that stops early joins the run's helper
+        with closing(run):
             for _ in run:
                 yield held.pop()
         yield held.pop()     # the last grid time, observed as the run ended

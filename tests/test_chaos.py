@@ -175,9 +175,9 @@ class TestChaosRate:
         assert repr(c1.slope) == repr(c3.slope)
 
     def test_worker_count_invariance_across_the_draw_ahead_size(self):
-        # criterion 10 where N reaches _AHEAD_MIN: that N draws each step's
-        # noise on its run's helper thread, in every per-N worker thread
-        # too, here with the interpreter switching threads far more often
+        # criterion 10 where N reaches _AHEAD_MIN: each share forks a drawer
+        # that makes every draw after grid time 0, from every per-N worker
+        # thread too, here with the interpreter switching threads far more often
         mdl = make_linear_model()
         cfg = SimConfig(T=0.03, dt=0.01, N=64, seed=2024)
         ref = build_reference_flow(cfg, mdl, GAUSS, M=512)
@@ -617,11 +617,52 @@ class TestStreamedReference:
         assert not any(os.scandir(out))   # nothing published, nothing staged
 
 
+class TestDrawers:
+    """A block that draws at least _AHEAD_MIN values per grid time forks one
+    drawer; none outlives its block, however the sweep ends."""
+
+    @staticmethod
+    def no_process_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_default_sweep_leaves_no_process(self, tmp_path, workers):
+        out = tmp_path / "o"
+        assert cli.main(["chaos-rate", "--seed", "20260810", "--set", f"sim.workers={workers}",
+                         "--out", str(out)]) == 0
+        self.no_process_left()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failing_sweep_at_two_workers_leaves_no_drawer(self, monkeypatch):
+        # test_sweep_raises_the_smallest_failing_N's sweep, with a drawer for each share
+        cfg = SimConfig(T=0.5, dt=0.01, N=8, seed=9)
+        ref = build_reference_flow(cfg, GROWS, GAUSS, M=64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError) as in_step:
+                estimate_chaos_rate(cfg, GROWS, [8, 16, 32], 2, ref, workers=2)
+            forks = []
+            fork = os.fork
+
+            def counted():
+                forks.append(1)
+                return fork()
+
+            monkeypatch.setattr(os, "fork", counted)
+            monkeypatch.setattr(engine, "_AHEAD_MIN", 1)
+            with pytest.raises(BlowUpError) as ahead:
+                estimate_chaos_rate(cfg, GROWS, [8, 16, 32], 2, ref, workers=2)
+        self.no_process_left()
+        assert len(forks) == 2   # one drawer per share
+        assert (ahead.value.step, ahead.value.particle) == \
+            (in_step.value.step, in_step.value.particle)
+
+
 class TestShareWorkspace:
     """A share's reference and stacks step out of one set of step buffers."""
 
     def test_a_smaller_stack_adds_less_than_two_of_its_buffers(self):
-        # stacks of 4 seeds up to N = 4096 draw on the stepping thread (below
+        # stacks of 4 seeds up to N = 4096 draw in step (the share is below
         # _AHEAD_MIN); a stack with buffers of its own would add its sorted,
         # update and draw buffers and its ring buffer, four (2R, N) arrays
         cfg = SimConfig(T=0.1, dt=0.01, N=8, seed=5)

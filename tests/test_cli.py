@@ -1,8 +1,10 @@
 import os
 import re
+import signal
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -485,9 +487,46 @@ def test_default_solve_writes_nothing_to_stderr(tmp_path):
 
 def test_a_run_imports_nothing_the_cli_import_did_not():
     # a module first imported mid-run would move its cost from start-up into the run;
-    # the simulate draws ahead on a helper thread, the sweep runs on two workers
+    # the simulate forks a drawer, the sweep runs on two workers
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", RUN_IMPORTS, src], capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]"]
+
+
+def _live(pgid: int) -> list[int]:
+    """Every process of the group that is not a zombie, read from /proc."""
+    live = []
+    for name in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{name}/stat") as fh:
+                state, _ppid, group = fh.read().rsplit(")", 1)[1].split()[:3]
+        except (OSError, ValueError):
+            continue
+        if int(group) == pgid and state != "Z":
+            live.append(int(name))
+    return live
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads processes from /proc")
+def test_a_killed_run_leaves_no_drawer(tmp_path):
+    # the run's drawer reads end-of-file once the run is gone, and exits
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.Popen([sys.executable, "-m", "mfchaos.cli", "simulate",
+                             "--set", "model.name=sqrt", "--set", "sim.N=131072",
+                             "--set", "sim.T=30", "--out", str(tmp_path)],
+                            env={**os.environ, "PYTHONPATH": src}, start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while len(_live(proc.pid)) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(_live(proc.pid)) == 2   # the run and its drawer
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+    deadline = time.monotonic() + 2
+    while _live(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _live(proc.pid) == []

@@ -1,7 +1,6 @@
+import os
 import pickle
-import threading
 import tracemalloc
-from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -161,7 +160,7 @@ class TestInteracting:
         # scratch; an in-test loop of the plain expression is the reference,
         # a coefficient's array is never written, and a coupled twin's noise
         # is not overwritten by its interacting system's update; from
-        # _AHEAD_MIN streams on, each next step's draw is made on a helper thread
+        # _AHEAD_MIN streams on, a forked drawer makes every draw after grid time 0
         cfg = SimConfig(T=T, dt=0.01, N=N, seed=12)
         if name == "sqrt":
             mdl = make_sqrt_model()
@@ -332,8 +331,9 @@ class TestCoefficientBuffers:
 
 
 class TestDrawAhead:
-    """From _AHEAD_MIN values per step on, `_run` draws step k+1's increments
-    on a helper thread while step k runs; the helper never outlives the run."""
+    """Where a block draws at least _AHEAD_MIN values per grid time, a forked
+    drawer makes every draw after the first grid time; it never outlives its
+    run or block, and the stepping process makes no draw after grid time 0."""
 
     N = engine._AHEAD_MIN
     # a stack that reaches _AHEAD_MIN only per step: 4 seeds of 2^13 streams,
@@ -343,55 +343,39 @@ class TestDrawAhead:
     ROW = engine._AHEAD_MIN // 4
 
     @staticmethod
-    def spy(monkeypatch) -> list:
-        """Every rng.normals call as (stream, step, thread ident)."""
-        draws = []
+    def spy(monkeypatch, tmp_path):
+        """Log every rng.normals call, in this process or a drawer, as (stream,
+        step, pid, address of out); returns the reader of that log."""
+        log = tmp_path / "draws"
+        log.touch()
         normals = rng.normals
 
         def spying(seed, stream, step, n, out=None):
-            draws.append((stream, step, threading.get_ident()))
+            at = out.ctypes.data if out is not None else 0
+            with open(log, "a") as fh:   # one append per call, whatever process makes it
+                fh.write(f"{stream} {step} {os.getpid()} {at}\n")
             return normals(seed, stream, step, n, out=out)
 
         monkeypatch.setattr(rng, "normals", spying)
-        return draws
+        return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
 
-    def test_one_drive_draw_per_step_and_none_beyond(self, monkeypatch):
-        draws = self.spy(monkeypatch)
+    @staticmethod
+    def no_process_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_drive_draw_per_step_and_none_beyond(self, monkeypatch, tmp_path):
+        draws = self.spy(monkeypatch, tmp_path)
         cfg = SimConfig(T=0.05, dt=0.01, N=self.N, seed=3)
         simulate_interacting(cfg, make_sqrt_model(), GAUSS)
-        drive = [(k, who) for stream, k, who in draws if stream == rng.STREAM_DRIVE]
+        self.no_process_left()
+        drive = [(k, pid) for stream, k, pid, _ in draws() if stream == rng.STREAM_DRIVE]
         assert sorted(k for k, _ in drive) == list(range(cfg.steps))
-        assert any(who != threading.get_ident() for _, who in drive)   # drawn ahead
+        # the stepping process draws grid time 0 alone, the drawer every later one
+        assert {k for k, pid in drive if pid == os.getpid()} == {0}
 
-    def test_a_draw_the_helper_never_starts_is_made_in_step(self, monkeypatch):
-        # a helper that never gets a core: each step takes its draw back and
-        # makes it on the stepping thread, into the same buffer, with the same bits
-        cfg = SimConfig(T=0.05, dt=0.01, N=self.N, seed=3)
-        want = simulate_interacting(cfg, make_sqrt_model(), GAUSS).values
-
-        class NeverStarts:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                return Future()
-
-        monkeypatch.setattr(engine, "ThreadPoolExecutor", NeverStarts)
-        got = []
-        stepping = threading.Thread(daemon=True, target=lambda: got.append(
-            simulate_interacting(cfg, make_sqrt_model(), GAUSS).values))
-        stepping.start()
-        stepping.join(timeout=120)
-        assert not stepping.is_alive()
-        assert got[0].tobytes() == want.tobytes()
-
-    def test_blow_up_with_a_draw_in_flight_names_the_same_particle_and_step(self, monkeypatch):
+    def test_blow_up_with_a_draw_in_flight_names_the_same_particle_and_step(self, monkeypatch,
+                                                                            tmp_path):
         cubic = replace(make_linear_model(sigma0=1.0),
                         drift=lambda t, x, mu: np.asarray(x, dtype=float) ** 3)
         cfg = SimConfig(T=1.0, dt=0.1, N=self.N, seed=8)
@@ -401,33 +385,68 @@ class TestDrawAhead:
                 simulate_interacting(cfg, cubic, ConstantLaw(1.0))
             return exc.value
 
-        threads = threading.active_count()
-        draws = self.spy(monkeypatch)
+        draws = self.spy(monkeypatch, tmp_path)
         ahead = blow_up()
-        assert threading.active_count() == threads
+        self.no_process_left()
         assert ahead.step < cfg.steps - 1
-        # the next step's draw was in flight when the step blew up
-        assert max(k for stream, k, _ in draws if stream == rng.STREAM_DRIVE) == ahead.step + 1
+        # the drawer is one grid time ahead at most, and the stepping process
+        # drew grid time 0 alone
+        drive = [(k, pid) for stream, k, pid, _ in draws() if stream == rng.STREAM_DRIVE]
+        assert max(k for k, _ in drive) <= ahead.step + 1
+        assert {k for k, pid in drive if pid == os.getpid()} == {0}
         monkeypatch.setattr(engine, "_AHEAD_MIN", self.N + 1)
         in_step = blow_up()
         assert (ahead.particle, ahead.step, ahead.t) == (in_step.particle, in_step.step, in_step.t)
 
+    def test_a_stepper_closed_part_way_leaves_no_drawer(self, monkeypatch, tmp_path):
+        draws = self.spy(monkeypatch, tmp_path)
+        cfg = SimConfig(T=0.5, dt=0.01, N=self.N, seed=3)
+        stepper = engine._run(cfg, make_sqrt_model(), ParticleEnsemble.from_law(
+            cfg, make_sqrt_model(), GAUSS), cfg.seed, observe=lambda k, x, xs: None, lazy=True)
+        for _ in range(3):
+            next(stepper)
+        stepper.close()
+        self.no_process_left()
+        # grid times 1 and 2 were stepped on the drawer's draws; it drew none beyond 4
+        drive = [k for stream, k, _, _ in draws() if stream == rng.STREAM_DRIVE]
+        assert {0, 1, 2} <= set(drive) <= set(range(5))
+
+    def test_a_block_whose_runs_leave_lockstep_raises(self):
+        # the second run takes its first step only after the first took its
+        # second, when the block's drawer was forked for the first alone
+        cfg = SimConfig(T=0.05, dt=0.01, N=self.N, seed=3)
+        mdl = make_sqrt_model()
+
+        def lazy():
+            return engine._run(cfg, mdl, ParticleEnsemble.from_law(cfg, mdl, GAUSS), cfg.seed,
+                               observe=lambda k, x, xs: None, lazy=True)
+
+        with engine.shared_workspace():
+            first, second = lazy(), lazy()
+            next(first)
+            next(first)
+            with pytest.raises(EngineError, match="lockstep"):
+                next(second)
+            first.close()
+        self.no_process_left()
+
     def stack(self, cfg, mdl, law):
         return ParticleEnsemble.from_law(cfg, mdl, law, seed=self.ROWS)
 
-    def test_stack_draws_ahead_per_step_and_none_beyond(self, monkeypatch):
-        draws = self.spy(monkeypatch)
+    def test_stack_draws_ahead_per_step_and_none_beyond(self, monkeypatch, tmp_path):
+        draws = self.spy(monkeypatch, tmp_path)
         cfg = SimConfig(T=0.05, dt=0.01, N=self.ROW, seed=3)
         mdl = make_sqrt_model()
         engine._run(cfg, mdl, self.stack(cfg, mdl, GAUSS), self.ROWS)
-        drive = [(k, who) for stream, k, who in draws if stream == rng.STREAM_DRIVE]
+        self.no_process_left()
+        drive = [(k, pid) for stream, k, pid, _ in draws() if stream == rng.STREAM_DRIVE]
         # one draw per distinct seed and step, and none beyond the last step
         assert sorted(k for k, _ in drive) == sorted(list(range(cfg.steps)) * len(self.SEEDS))
-        assert any(who != threading.get_ident() for _, who in drive)   # drawn ahead
-        # one of those seeds alone stays below the gate and draws on the caller's thread
-        draws.clear()
+        assert {k for k, pid in drive if pid == os.getpid()} == {0}
+        # one of those seeds alone stays below the gate and draws in this process
+        before = len(draws())
         simulate_interacting(cfg, make_sqrt_model(), GAUSS)
-        assert {who for stream, _, who in draws} == {threading.get_ident()}
+        assert {pid for _, _, pid, _ in draws()[before:]} == {os.getpid()}
 
     def test_stack_drawn_ahead_is_bitwise_the_stack_drawn_in_step(self, monkeypatch):
         mdl = make_linear_model()
@@ -444,7 +463,8 @@ class TestDrawAhead:
         assert ahead_values.tobytes() == in_step_values.tobytes()
         assert repr(ahead_runs) == repr(in_step_runs)
 
-    def test_stack_blow_up_with_a_draw_in_flight_joins_the_helper(self, monkeypatch):
+    def test_stack_blow_up_with_a_draw_in_flight_joins_the_helper(self, monkeypatch, tmp_path):
+        # the helper is the stack's drawer process: it is reaped when the run raises
         cubic = replace(make_linear_model(sigma0=1.0),
                         drift=lambda t, x, mu: np.asarray(x, dtype=float) ** 3)
         cfg = SimConfig(T=1.0, dt=0.1, N=self.ROW, seed=8)
@@ -454,42 +474,43 @@ class TestDrawAhead:
                 engine._run(cfg, cubic, self.stack(cfg, cubic, ConstantLaw(1.0)), self.ROWS)
             return exc.value
 
-        threads = threading.active_count()
-        draws = self.spy(monkeypatch)
+        draws = self.spy(monkeypatch, tmp_path)
         ahead = blow_up()
-        assert threading.active_count() == threads
+        self.no_process_left()
         assert ahead.step < cfg.steps - 1
-        assert max(k for stream, k, _ in draws if stream == rng.STREAM_DRIVE) == ahead.step + 1
+        drive = [(k, pid) for stream, k, pid, _ in draws() if stream == rng.STREAM_DRIVE]
+        assert max(k for k, _ in drive) <= ahead.step + 1
+        assert {k for k, pid in drive if pid == os.getpid()} == {0}
         monkeypatch.setattr(engine, "_AHEAD_MIN", len(self.SEEDS) * self.ROW + 1)
         in_step = blow_up()
         assert (ahead.particle, ahead.step, ahead.t) == (in_step.particle, in_step.step, in_step.t)
 
     @pytest.mark.parametrize("ahead", [True, False], ids=["ahead", "in-step"])
-    def test_a_coupled_stack_of_K_pairs_fills_draw_buffers_of_K_rows(self, monkeypatch, ahead):
-        # 2K rows, K seeds: each step fills one row per seed, each a row of a
-        # buffer of K rows; drawn ahead there are two such buffers, else one
+    def test_a_coupled_stack_of_K_pairs_fills_draw_buffers_of_K_rows(self, monkeypatch, tmp_path,
+                                                                      ahead):
+        # 2K rows, K seeds: each step fills one row per seed, K consecutive rows;
+        # in step they are one buffer's, drawn ahead a slot of the drawer's
+        # arena for each parity of the grid time after grid time 0
         K, N = len(self.SEEDS), self.ROW
         cfg = SimConfig(T=0.05, dt=0.01, N=N, seed=5)
         mdl = make_linear_model()
         flow = oracle_mean_flow(cfg, mdl, GAUSS)
         if not ahead:
             monkeypatch.setattr(engine, "_AHEAD_MIN", K * N + 1)
-        outs = []
-        normals = rng.normals
-
-        def spying(seed, stream, step, n, out=None):
-            if stream == rng.STREAM_DRIVE:
-                outs.append((step, out))
-            return normals(seed, stream, step, n, out=out)
-
-        monkeypatch.setattr(rng, "normals", spying)
+        draws = self.spy(monkeypatch, tmp_path)
         engine.coupled_stack(cfg, mdl, flow, self.SEEDS, observe=lambda k, x, xs: None)
-        assert sorted(k for k, _ in outs) == sorted(list(range(cfg.steps)) * K)
-        assert all(out.shape == (N,) and out.base.size == K * N for _, out in outs)
-        assert len({id(out.base) for _, out in outs}) == (2 if ahead else 1)
-        for k in range(cfg.steps):
-            at = sorted(out.ctypes.data for step, out in outs if step == k)
+        self.no_process_left()
+        outs = [(k, pid, at) for stream, k, pid, at in draws() if stream == rng.STREAM_DRIVE]
+        assert sorted(k for k, _, _ in outs) == sorted(list(range(cfg.steps)) * K)
+        rows = {k: sorted(at for step, _, at in outs if step == k) for k in range(cfg.steps)}
+        for at in rows.values():
             assert np.diff(at).tolist() == [8 * N] * (K - 1)   # K rows of one buffer
+        if ahead:
+            assert {k for k, pid, _ in outs if pid == os.getpid()} == {0}
+            assert rows[1] == rows[3] != rows[2] == rows[4]
+        else:
+            assert {pid for _, pid, _ in outs} == {os.getpid()}
+            assert all(at == rows[0] for at in rows.values())
 
     @pytest.mark.parametrize("ahead", [True, False], ids=["ahead", "in-step"])
     def test_no_step_writes_its_draw(self, monkeypatch, ahead):
@@ -518,7 +539,16 @@ class TestDrawAhead:
             return out
 
         monkeypatch.setattr(engine, "_increments", read_only)
+        # and the stepping process reads a drawer's draws through views it cannot write
+        step, writable = engine._step, []
+
+        def step_watched(model, outs, ensemble, groups, observe, k, dt, z, workspace):
+            writable.append(z.flags.writeable)
+            return step(model, outs, ensemble, groups, observe, k, dt, z, workspace)
+
+        monkeypatch.setattr(engine, "_step", step_watched)
         assert runs() == want
+        assert not any(writable)
 
     @pytest.mark.parametrize("ahead", [True, False], ids=["ahead", "in-step"])
     @pytest.mark.parametrize("groups", [engine._OWN_LAW,
